@@ -80,6 +80,16 @@ def _load_json(path) -> dict:
     return doc
 
 
+def _dims_from(doc, path) -> tuple:
+    raw = doc["dims"]
+    if isinstance(raw, list):
+        try:
+            return tuple(int(d) for d in raw)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(f"{path}: dims must be a list of integers, got {raw!r}")
+
+
 def state_document(state: DensityMatrix, metadata=None) -> dict:
     doc = {"dims": list(state.dims), "matrix": _pairs_from_matrix(state.matrix)}
     if metadata:
@@ -96,7 +106,7 @@ def read_state(path) -> DensityMatrix:
     for key in ("dims", "matrix"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
-    return validate(_matrix_from_pairs(doc["matrix"]), doc["dims"])
+    return validate(_matrix_from_pairs(doc["matrix"]), _dims_from(doc, path))
 
 
 def read_ensemble(path) -> TripartiteEnsemble:
@@ -104,13 +114,22 @@ def read_ensemble(path) -> TripartiteEnsemble:
     for key in ("dims", "terms"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
-    dims = tuple(int(d) for d in doc["dims"])
+    dims = _dims_from(doc, path)
     total = math.prod(dims)
+    if not isinstance(doc["terms"], list):
+        raise ParseError(f"{path}: terms must be a list, got {doc['terms']!r}")
     terms = []
     for position, term in enumerate(doc["terms"], start=1):
+        if not isinstance(term, dict):
+            raise ParseError(f"{path}: term {position} must be an object, got {term!r}")
         if "weight" not in term:
             raise ParseError(f"{path}: term {position} has no weight")
-        weight = float(term["weight"])
+        try:
+            weight = float(term["weight"])
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"{path}: term {position} weight must be a number, got {term['weight']!r}"
+            ) from None
         if "ket" in term:
             v = _vector_from_pairs(term["ket"])
             if v.shape != (total,):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,41 @@ def _report(criterion, lhs, rhs, *, fired, quiet, notes=()) -> CriterionReport:
     )
 
 
-def _qubit_first_blocks(rho: DensityMatrix) -> BlockDecomposition:
-    return block_decompose(rho)
+# Quantities several checks read from one state, filled on first use. Keyed
+# weakly on the state object (frozen, read-only matrix, identity hash), so an
+# entry lives exactly as long as its state and every check sees the same bits.
+_ANALYSES = weakref.WeakKeyDictionary()
+
+
+def _shared(rho: DensityMatrix, name: str, compute):
+    analysis = _ANALYSES.setdefault(rho, {})
+    if name not in analysis:
+        analysis[name] = compute()
+    return analysis[name]
+
+
+def _blocks(rho: DensityMatrix) -> BlockDecomposition:
+    return _shared(rho, "blocks", lambda: block_decompose(rho))
+
+
+def _lambda_min_p(rho: DensityMatrix) -> float:
+    return _shared(rho, "lambda_min_p", lambda: linalg.lambda_min(_blocks(rho).p))
+
+
+def _lambda_min_r(rho: DensityMatrix) -> float:
+    return _shared(rho, "lambda_min_r", lambda: linalg.lambda_min(_blocks(rho).r))
+
+
+def _coherence(rho: DensityMatrix) -> float:
+    return _shared(rho, "coherence", lambda: l1_coherence(rho))
+
+
+def _coupling_mass(rho: DensityMatrix) -> float:
+    return _shared(rho, "coupling_mass", lambda: linalg.frobenius_norm_sq(_blocks(rho).q))
+
+
+def _diagonal_functional(rho: DensityMatrix) -> float:
+    return _shared(rho, "diagonal_functional", lambda: _coherence_rhs(_blocks(rho)))
 
 
 def _coherence_rhs(blocks: BlockDecomposition) -> float:
@@ -98,11 +132,10 @@ def qubit_coherence_check(rho: DensityMatrix) -> CriterionReport:
     """
     if rho.dim != 4:
         raise ShapeError(f"check needs a two-qubit state, got total dimension {rho.dim}")
-    blocks = _qubit_first_blocks(rho)
     return _report(
         "qubit-coherence",
-        l1_coherence(rho),
-        _coherence_rhs(blocks),
+        _coherence(rho),
+        _diagonal_functional(rho),
         fired=Verdict.ENTANGLED,
         quiet=Verdict.INCONCLUSIVE,
     )
@@ -114,11 +147,10 @@ def qudit_coherence_check(rho: DensityMatrix) -> CriterionReport:
     The stated condition is a non-strict inequality; ties land inside the
     tolerance dead-band and stay Inconclusive, which the report notes.
     """
-    blocks = _qubit_first_blocks(rho)
     return _report(
         "qudit-coherence",
-        l1_coherence(rho),
-        _coherence_rhs(blocks),
+        _coherence(rho),
+        _diagonal_functional(rho),
         fired=Verdict.ENTANGLED,
         quiet=Verdict.INCONCLUSIVE,
         notes=("stated as a non-strict inequality; ties within tolerance stay Inconclusive",),
@@ -127,10 +159,10 @@ def qudit_coherence_check(rho: DensityMatrix) -> CriterionReport:
 
 def block_trace_check(rho: DensityMatrix) -> CriterionReport:
     """Detector comparing the coupling-block mass against Tr(PR)."""
-    blocks = _qubit_first_blocks(rho)
+    blocks = _blocks(rho)
     return _report(
         "block-trace",
-        linalg.frobenius_norm_sq(blocks.q),
+        _coupling_mass(rho),
         linalg.trace_product(blocks.p, blocks.r).real,
         fired=Verdict.ENTANGLED,
         quiet=Verdict.INCONCLUSIVE,
@@ -145,11 +177,10 @@ def block_spectrum_check(rho: DensityMatrix) -> CriterionReport:
     The non-firing verdict is SeparabilityConsistent: the state passed a
     condition separable states satisfy, nothing stronger.
     """
-    blocks = _qubit_first_blocks(rho)
     return _report(
         "block-spectrum",
-        linalg.frobenius_norm_sq(blocks.q),
-        linalg.lambda_min(blocks.p) * linalg.lambda_min(blocks.r),
+        _coupling_mass(rho),
+        _lambda_min_p(rho) * _lambda_min_r(rho),
         fired=Verdict.ENTANGLED,
         quiet=Verdict.SEPARABILITY_CONSISTENT,
         notes=("stated as a non-strict inequality; ties within tolerance stay quiet",),
@@ -172,14 +203,14 @@ def separable_bound(rho: DensityMatrix) -> float:
     up to roundoff; values inside [-1e-10, 0] clamp to zero and anything
     lower raises, since it means an invalid state slipped through.
     """
-    blocks = _qubit_first_blocks(rho)
+    blocks = _blocks(rho)
     d = blocks.p.shape[0]
     diag_sq = float(np.sum(np.abs(np.diagonal(rho.matrix)) ** 2))
     radicand = (
         linalg.frobenius_norm_sq(blocks.p) + linalg.frobenius_norm_sq(blocks.r) - diag_sq
     )
-    lam_p = _clamped_sqrt(linalg.lambda_min(blocks.p), "lambda_min of block P")
-    lam_r = _clamped_sqrt(linalg.lambda_min(blocks.r), "lambda_min of block R")
+    lam_p = _clamped_sqrt(_lambda_min_p(rho), "lambda_min of block P")
+    lam_r = _clamped_sqrt(_lambda_min_r(rho), "lambda_min of block R")
     prefactor = math.sqrt(2.0 * d * (d - 1))
     return prefactor * (_clamped_sqrt(radicand, "block off-diagonal mass") + lam_p * lam_r)
 
@@ -189,7 +220,7 @@ def coherence_bound_check(rho: DensityMatrix) -> CriterionReport:
     d = rho.dim // 2
     return _report(
         "coherence-bound",
-        l1_coherence(rho),
+        _coherence(rho),
         separable_bound(rho),
         fired=Verdict.ENTANGLED,
         quiet=Verdict.INCONCLUSIVE,

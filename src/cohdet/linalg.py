@@ -141,8 +141,9 @@ def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_M
     sweep annihilates every off-diagonal pair once with a unitary 2x2
     rotation (a phase to make the pivot real, then a real Jacobi angle). The
     loop stops when the Frobenius norm of the off-diagonal part drops below
-    ``offdiag_tol``; hitting ``max_sweeps`` first returns the current
-    estimate with ``converged=False``.
+    ``offdiag_tol``, or after a sweep that found every off-diagonal entry
+    below 1e-300 and so rotated nothing; hitting ``max_sweeps`` first returns
+    the current estimate with ``converged=False``.
     """
     a = as_matrix(m)
     n = a.shape[0]
@@ -163,11 +164,13 @@ def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_M
     sweeps = 0
     converged = off_mass() <= threshold
     while not converged and sweeps < max_sweeps:
+        rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 r = abs(a[p, q])
                 if r < 1e-300:
                     continue
+                rotated = True
                 phase = a[p, q] / r
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
                 if abs(tau) > 1e150:
@@ -189,7 +192,10 @@ def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_M
                 a[p, q] = 0.0
                 a[q, p] = 0.0
         sweeps += 1
-        converged = off_mass() <= threshold
+        # off_mass() is a difference of two sums whose roundoff can exceed the
+        # threshold; a sweep with nothing to rotate has left a matrix that no
+        # further sweep can change, so that is convergence too.
+        converged = not rotated or off_mass() <= threshold
     eigenvalues = np.sort(np.diag(a).real)
     eigenvalues.setflags(write=False)
     return EigenResult(eigenvalues, converged, sweeps)

@@ -194,6 +194,14 @@ class TestAnalyze:
                            "--criteria", "no-such-check")
         assert code == 2
 
+    @pytest.mark.parametrize("dims", [4, [2, None]])
+    def test_malformed_dims_exit_two(self, tmp_path, capsys, dims):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": [[[1.0, 0.0]]]}))
+        code, _, err = run(capsys, "analyze", "--state", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "dims must be a list of integers" in err
+
     def test_verdicts_never_affect_exit_code(self, fixtures_dir, capsys):
         code, _, _ = run(
             capsys, "analyze", "--state", str(fixtures_dir / "bell_pair.json"),
@@ -245,6 +253,22 @@ class TestEnsembleCommand:
         doc = json.loads(out)
         assert [r["singled_out"] for r in doc["reports"]] == ["A", "B", "C"]
         assert doc["skipped"] == []
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"dims": [2, 2, 2], "terms": [3]}, "term 1 must be an object"),
+            ({"dims": [2, 2, 2], "terms": 3}, "terms must be a list"),
+            ({"dims": 3, "terms": []}, "dims must be a list of integers"),
+            ({"dims": [2, 2, 2], "terms": [{"weight": None}]}, "weight must be a number"),
+        ],
+    )
+    def test_malformed_structure_exit_two(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "ensemble", "--file", str(path), "--all-bipartitions")
+        assert code == 2
+        assert err.startswith("error:") and message in err
 
     def test_bad_weights_exit_two(self, tmp_path, capsys):
         ket0 = [[1.0, 0.0]] + [[0.0, 0.0]] * 7

@@ -8,11 +8,14 @@ fire on provably separable states, and those misfires are asserted as
 facts so a change in behavior is noticed either way.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from cohdet import criteria, linalg
 from cohdet.criteria import (
     DETECTION_TOLERANCE,
     CriterionReport,
@@ -262,6 +265,68 @@ class TestHolderBound:
         for _ in range(1000):
             values = rng.standard_normal(int(rng.integers(1, 12)))
             assert holder_bound_holds(values)
+
+
+ALL_CHECKS = (
+    qubit_coherence_check,
+    qudit_coherence_check,
+    block_trace_check,
+    block_spectrum_check,
+    coherence_bound_check,
+    separable_bound,
+)
+
+
+def applicable(state):
+    return [c for c in ALL_CHECKS if c is not qubit_coherence_check or state.dim == 4]
+
+
+class TestSharedAnalysis:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"block_decompose": 0, "lambda_min": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(criteria, "block_decompose",
+                            counted("block_decompose", criteria.block_decompose))
+        monkeypatch.setattr(linalg, "lambda_min", counted("lambda_min", linalg.lambda_min))
+        return counts
+
+    def test_one_decomposition_and_two_diagonalizations_per_state(self, counts):
+        state = random_density((2, 3), seed=8)
+        for check in applicable(state):
+            check(state)
+        assert counts == {"block_decompose": 1, "lambda_min": 2}
+
+    def test_block_trace_alone_diagonalizes_nothing(self, counts):
+        block_trace_check(random_density((2, 3), seed=8))
+        assert counts == {"block_decompose": 1, "lambda_min": 0}
+
+    def test_analysis_lives_only_as_long_as_its_state(self):
+        state = random_density((2, 2), seed=9)
+        for check in applicable(state):
+            check(state)
+        assert state in criteria._ANALYSES
+        alive = weakref.ref(state)
+        del state
+        gc.collect()
+        assert alive() is None
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
+    def test_reports_do_not_depend_on_check_order(self, dims):
+        for seed in range(5):
+            shared = random_density(dims, seed=7000 + seed)
+            checks = applicable(shared)
+            for check in reversed(checks):
+                check(shared)
+            for check in checks:
+                fresh = random_density(dims, seed=7000 + seed)
+                assert check(shared) == check(fresh)
 
 
 class TestReportShape:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohdet.errors import NotHermitianError, ShapeError, SizeError
+from cohdet.families import build_family
 from cohdet.linalg import (
     JACOBI_MAX_SWEEPS,
     MAX_DIMENSION,
@@ -26,6 +27,7 @@ from cohdet.linalg import (
     tensor_product,
     trace_product,
 )
+from cohdet.states import block_decompose
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET_PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
@@ -221,6 +223,15 @@ class TestHermitianEigenvalues:
         m = (m + m.conj().T) / 2.0
         got = hermitian_eigenvalues(m).eigenvalues
         np.testing.assert_allclose(got, np.linalg.eigvalsh(m), atol=1e-9)
+
+    def test_diagonal_block_stops_after_an_idle_sweep(self):
+        # The R block of xstate24 at a = 0.013 is diagonal, but the off-diagonal
+        # mass, a difference of two sums, rounds to more than the threshold.
+        block = block_decompose(build_family("xstate24", a=0.013)).r
+        result = hermitian_eigenvalues(block)
+        assert result.converged
+        assert result.sweeps_used <= 1
+        assert np.array_equal(result.eigenvalues, np.sort(np.diag(block).real))
 
     def test_lambda_min_shortcut(self):
         assert lambda_min(np.diag([0.4, -0.1, 0.7])) == pytest.approx(-0.1, abs=1e-14)
