@@ -1,6 +1,6 @@
 """Coherence-based entanglement detection for small quantum systems."""
 
-from .coherence import convexity_holds, l1_coherence, product_coherence
+from .coherence import l1_coherence, product_coherence
 from .criteria import (
     DETECTION_TOLERANCE,
     CriterionReport,
@@ -9,7 +9,6 @@ from .criteria import (
     block_spectrum_check,
     block_trace_check,
     coherence_bound_check,
-    holder_bound_holds,
     ppt_check,
     qubit_coherence_check,
     qudit_coherence_check,
@@ -61,12 +60,10 @@ __all__ = [
     "build_basis",
     "build_family",
     "coherence_bound_check",
-    "convexity_holds",
     "ensemble_bound",
     "ensemble_bound_check",
     "family_names",
     "get_family",
-    "holder_bound_holds",
     "l1_coherence",
     "permute_subsystems",
     "ppt_check",

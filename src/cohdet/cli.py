@@ -85,7 +85,7 @@ def _dims_from(doc, path) -> tuple:
     if isinstance(raw, list):
         try:
             return tuple(int(d) for d in raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ParseError(f"{path}: dims must be a list of integers, got {raw!r}")
 

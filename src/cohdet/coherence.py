@@ -7,8 +7,6 @@ import numpy as np
 from . import linalg
 from .states import DensityMatrix
 
-CONVEXITY_TOL = 1e-10
-
 
 def l1_coherence(state) -> float:
     """Sum of |entry| over all off-diagonal positions.
@@ -33,20 +31,3 @@ def product_coherence(c_left: float, c_right: float) -> float:
     if c_left < 0 or c_right < 0:
         raise ValueError(f"coherences must be nonnegative, got {c_left} and {c_right}")
     return c_left + c_right * (1.0 + c_left)
-
-
-def convexity_holds(states, weights, tol: float = CONVEXITY_TOL) -> bool:
-    """Whether C(mixture) <= weighted sum of member coherences, plus tol.
-
-    True for every valid input; exists so sweeps can assert it
-    wholesale and flag numerical trouble early.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or len(weights) != len(states):
-        raise ValueError("need one weight per state")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    matrices = [s.matrix if isinstance(s, DensityMatrix) else linalg.as_matrix(s) for s in states]
-    mixed = sum(w * m for w, m in zip(weights, matrices))
-    member_sum = sum(w * l1_coherence(m) for w, m in zip(weights, matrices))
-    return l1_coherence(mixed) <= member_sum + tol

@@ -32,7 +32,6 @@ from .states import BlockDecomposition, DensityMatrix, block_decompose
 DETECTION_TOLERANCE = 1e-10
 PPT_TOL = 1e-10
 RADICAND_TOL = 1e-10
-HOLDER_TOL = 1e-12
 
 
 class Verdict(enum.Enum):
@@ -240,15 +239,3 @@ def ppt_check(rho: DensityMatrix, subsystem="B") -> PptVerdict:
     pt = linalg.partial_transpose(rho.matrix, rho.dims, subsystem=subsystem)
     smallest = float(np.linalg.eigvalsh(pt)[0])
     return PptVerdict(min_eigenvalue=smallest, is_ppt=smallest >= -PPT_TOL)
-
-
-def holder_bound_holds(values, tol: float = HOLDER_TOL) -> bool:
-    """Whether sum|x| <= sqrt(n) * (sum x^2)^(1/2) + tol.
-
-    Always true mathematically; shipped as a sweep utility so the norm
-    comparison underlying the separable ceiling can be spot-checked.
-    """
-    x = np.abs(np.asarray(values, dtype=float))
-    if x.ndim != 1:
-        raise ShapeError("values must be a flat sequence")
-    return float(x.sum()) <= math.sqrt(len(x)) * float(np.sqrt((x**2).sum())) + tol

@@ -11,14 +11,14 @@ reported entangled.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .coherence import l1_coherence
-from .criteria import DETECTION_TOLERANCE, Verdict
-from .errors import NegativeRadicandError, NoQubitInPairError, ShapeError
+from .criteria import DETECTION_TOLERANCE, Verdict, _clamped_sqrt
+from .errors import NoQubitInPairError, ShapeError
 from .states import DensityMatrix, block_decompose, permute_subsystems, validate
 
 LABELS = ("A", "B", "C")
@@ -28,7 +28,15 @@ LABELS = ("A", "B", "C")
 PAIRS = {"A": (1, 2), "B": (2, 0), "C": (0, 1)}
 
 WEIGHT_TOL = 1e-10
-RADICAND_TOL = 1e-10
+
+
+def _require_qubit_in_pair(dims: tuple, singled_out: str) -> None:
+    iy, iz = PAIRS[singled_out]
+    if dims[iy] != 2 and dims[iz] != 2:
+        raise NoQubitInPairError(
+            f"pair {LABELS[iy]}{LABELS[iz]} has dimensions "
+            f"{dims[iy]}x{dims[iz]}; the block analysis needs a qubit factor"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,13 +49,15 @@ class TripartiteEnsemble:
     analysis downstream has nothing to decompose. ``require_psd=False``
     admits indefinite members (and mixture): some textbook constructions
     are written down entrywise and are not physical states, yet their
-    bound arithmetic is still well defined.
+    bound arithmetic is still well defined. The mixture is built and
+    certified once, at construction.
     """
 
     dims: tuple
     terms: tuple
     singled_out: str = "A"
     require_psd: bool = True
+    _mixture: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -55,12 +65,7 @@ class TripartiteEnsemble:
             raise ShapeError(f"need exactly three subsystem dimensions, got {dims}")
         if self.singled_out not in LABELS:
             raise ShapeError(f"singled_out must be one of {LABELS}, got {self.singled_out!r}")
-        iy, iz = PAIRS[self.singled_out]
-        if dims[iy] != 2 and dims[iz] != 2:
-            raise NoQubitInPairError(
-                f"pair {LABELS[iy]}{LABELS[iz]} has dimensions "
-                f"{dims[iy]}x{dims[iz]}; the block analysis needs a qubit factor"
-            )
+        _require_qubit_in_pair(dims, self.singled_out)
         terms = []
         for weight, state in self.terms:
             weight = float(weight)
@@ -79,11 +84,11 @@ class TripartiteEnsemble:
             raise ShapeError(f"term weights sum to {total!r}, not 1")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "terms", tuple(terms))
-        validate(self.mixture().matrix, dims, require_psd=self.require_psd)
+        acc = sum(w * s.matrix for w, s in terms)
+        object.__setattr__(self, "_mixture", validate(acc, dims, require_psd=self.require_psd))
 
     def mixture(self) -> DensityMatrix:
-        acc = sum(w * s.matrix for w, s in self.terms)
-        return DensityMatrix(acc, self.dims)
+        return self._mixture
 
     def pair_label(self) -> str:
         iy, iz = PAIRS[self.singled_out]
@@ -145,12 +150,6 @@ def _pair_state(state: DensityMatrix, singled_out: str) -> DensityMatrix:
     return pair
 
 
-def _checked_sqrt(value: float, what: str) -> float:
-    if value < -RADICAND_TOL:
-        raise NegativeRadicandError(f"{what} is {value:.3e}, beyond the -1e-10 window")
-    return math.sqrt(max(value, 0.0))
-
-
 def ensemble_bound(ens: TripartiteEnsemble):
     """Weighted-sum ceiling on the mixture's coherence, with its breakdown.
 
@@ -172,9 +171,9 @@ def ensemble_bound(ens: TripartiteEnsemble):
         lam_r = linalg.lambda_min(blocks.r)
         prefactor = math.sqrt(2.0 * d * (d - 1))
         ceiling = prefactor * (
-            _checked_sqrt(p_norm_sq + r_norm_sq - diag_sq, "pair block off-diagonal mass")
-            + _checked_sqrt(lam_p, "lambda_min of pair block P")
-            * _checked_sqrt(lam_r, "lambda_min of pair block R")
+            _clamped_sqrt(p_norm_sq + r_norm_sq - diag_sq, "pair block off-diagonal mass")
+            + _clamped_sqrt(lam_p, "lambda_min of pair block P")
+            * _clamped_sqrt(lam_r, "lambda_min of pair block R")
         )
         summand = weight * (coherence_x + ceiling * (1.0 + coherence_x))
         breakdown.append(
@@ -213,6 +212,18 @@ def ensemble_bound_check(ens: TripartiteEnsemble) -> TripartiteReport:
     )
 
 
+def _relabelled(ens: TripartiteEnsemble, label: str) -> TripartiteEnsemble:
+    """The same certified ensemble with another party singled out.
+
+    Only the pair test depends on the label, so the terms and mixture are
+    shared rather than validated again; ``ens`` itself is left unchanged.
+    """
+    _require_qubit_in_pair(ens.dims, label)
+    probe = copy.copy(ens)
+    object.__setattr__(probe, "singled_out", label)
+    return probe
+
+
 def all_bipartitions_check(ens: TripartiteEnsemble) -> BipartitionSurvey:
     """Run the ensemble check for every subsystem that can be singled out.
 
@@ -223,7 +234,7 @@ def all_bipartitions_check(ens: TripartiteEnsemble) -> BipartitionSurvey:
     skipped = []
     for label in LABELS:
         try:
-            probe = dataclasses.replace(ens, singled_out=label)
+            probe = _relabelled(ens, label)
         except NoQubitInPairError as exc:
             skipped.append((label, str(exc)))
             continue

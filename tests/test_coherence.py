@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohdet.coherence import convexity_holds, l1_coherence, product_coherence
+from cohdet import linalg
+from cohdet.coherence import l1_coherence, product_coherence
 from cohdet.families import build_family
 from cohdet.linalg import tensor_product
-from cohdet.states import block_decompose, random_density, validate
+from cohdet.states import DensityMatrix, block_decompose, random_density, validate
 
 
 class TestL1Coherence:
@@ -92,6 +93,25 @@ class TestProductCoherence:
             joint = tensor_product(a.matrix, b.matrix)
             expected = product_coherence(l1_coherence(a), l1_coherence(b))
             assert abs(l1_coherence(joint) - expected) < 1e-10
+
+
+CONVEXITY_TOL = 1e-10
+
+
+def convexity_holds(states, weights, tol: float = CONVEXITY_TOL) -> bool:
+    """Whether C(mixture) <= weighted sum of member coherences, plus tol.
+
+    True for every valid input, so a failure flags numerical trouble.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or len(weights) != len(states):
+        raise ValueError("need one weight per state")
+    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
+        raise ValueError("weights must be nonnegative and sum to 1")
+    matrices = [s.matrix if isinstance(s, DensityMatrix) else linalg.as_matrix(s) for s in states]
+    mixed = sum(w * m for w, m in zip(weights, matrices))
+    member_sum = sum(w * l1_coherence(m) for w, m in zip(weights, matrices))
+    return l1_coherence(mixed) <= member_sum + tol
 
 
 class TestConvexity:

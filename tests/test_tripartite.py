@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from cohdet import tripartite
 from cohdet.errors import NoQubitInPairError, NotPositiveError, ShapeError
 from cohdet.families import build_family
 from cohdet.linalg import tensor_product
@@ -208,6 +209,81 @@ class TestMixedDimensions:
 
     def test_pair_map_is_cyclic(self):
         assert PAIRS == {"A": (1, 2), "B": (2, 0), "C": (0, 1)}
+
+
+def random_product_ensemble(dims, terms, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(terms))
+    return TripartiteEnsemble(
+        dims=dims,
+        terms=tuple(
+            (float(w), product_term(*(
+                random_density(d, seed=int(rng.integers(2**31))).matrix for d in dims
+            )))
+            for w in weights
+        ),
+    )
+
+
+SURVEYED = {
+    "bellmix": lambda: build_family("bellmix", p=0.3),
+    "puremix": lambda: build_family("puremix", p=0.5),
+    "random-222": lambda: random_product_ensemble((2, 2, 2), 3, seed=17),
+    "random-323": lambda: random_product_ensemble((3, 2, 3), 2, seed=23),
+}
+
+
+class TestSharedSurvey:
+    """The survey certifies an ensemble once and relabels it per bipartition."""
+
+    def test_survey_validates_nothing_again(self, monkeypatch):
+        calls = []
+        real = tripartite.validate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tripartite, "validate", counting)
+        ens = build_family("puremix", p=0.5)
+        assert len(ens.terms) == 2 and len(calls) == 3
+        all_bipartitions_check(ens)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("name", sorted(SURVEYED))
+    def test_reports_equal_freshly_built_ensembles(self, name):
+        ens = SURVEYED[name]()
+        survey = all_bipartitions_check(ens)
+        skipped = dict(survey.skipped)
+        for report in survey.reports:
+            fresh = TripartiteEnsemble(ens.dims, ens.terms, singled_out=report.singled_out)
+            assert report == ensemble_bound_check(fresh)
+        for label, reason in skipped.items():
+            with pytest.raises(NoQubitInPairError) as exc:
+                TripartiteEnsemble(ens.dims, ens.terms, singled_out=label)
+            assert str(exc.value) == reason
+        assert list(skipped) == (["B"] if ens.dims == (3, 2, 3) else [])
+        assert [r.singled_out for r in survey.reports] == [x for x in "ABC" if x not in skipped]
+
+    def test_caller_ensemble_is_unchanged(self):
+        ens = random_product_ensemble((2, 2, 2), 2, seed=5)
+        mixture = ens.mixture()
+        all_bipartitions_check(ens)
+        assert ens.singled_out == "A"
+        assert ens.mixture() is mixture
+
+    @pytest.mark.parametrize("name, labels", [("puremix", "ABC"), ("random-323", "AC")])
+    def test_public_check_runs_once_per_admissible_label(self, monkeypatch, name, labels):
+        seen = []
+        real = tripartite.ensemble_bound_check
+
+        def recorder(ens):
+            seen.append(ens.singled_out)
+            return real(ens)
+
+        monkeypatch.setattr(tripartite, "ensemble_bound_check", recorder)
+        all_bipartitions_check(SURVEYED[name]())
+        assert seen == list(labels)
 
 
 class TestEnsembleValidation:
