@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import criteria as crit
-from . import gellmann, states, tripartite
+from . import gellmann, linalg, states, tripartite
 from .errors import ParseError
 from .families import build_family, family_names, get_family
 from .states import DensityMatrix, validate
@@ -82,12 +82,18 @@ def _load_json(path) -> dict:
 
 def _dims_from(doc, path) -> tuple:
     raw = doc["dims"]
-    if isinstance(raw, list):
-        try:
-            return tuple(int(d) for d in raw)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ParseError(f"{path}: dims must be a list of integers, got {raw!r}")
+    cap = linalg.MAX_DIMENSION
+    # type(), not isinstance(): a JSON true must not pass as the int 1.
+    if isinstance(raw, list) and all(
+        type(d) in (int, float) and 1 <= d <= cap and float(d).is_integer() for d in raw
+    ):
+        dims = tuple(int(d) for d in raw)
+        if math.prod(dims) <= cap:
+            return dims
+    raise ParseError(
+        f"{path}: dims must be a list of integers in 1..{cap} with a product of at most "
+        f"{cap}, got {raw!r}"
+    )
 
 
 def state_document(state: DensityMatrix, metadata=None) -> dict:

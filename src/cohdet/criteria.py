@@ -4,8 +4,8 @@ Every check works on the block decomposition [[P, Q], [Q^H, R]] of a state
 with the qubit factor first, and returns a report carrying the two sides of
 its inequality, so callers can audit the margin instead of trusting a bare
 verdict. The PPT test lives here too, as an independent reference point: it
-is computed with a different eigensolver than the checks themselves and is
-exact in 2x2 and 2x3.
+diagonalizes the partial transpose, while the checks diagonalize the blocks
+P and R, and it is exact in 2x2 and 2x3.
 
 The coherence-based checks are one-sided detectors: a firing report says
 entangled, a silent one says nothing. The block-spectrum check is the lone
@@ -230,9 +230,9 @@ def coherence_bound_check(rho: DensityMatrix) -> CriterionReport:
 def ppt_check(rho: DensityMatrix, subsystem="B") -> PptVerdict:
     """Partial-transpose spectrum test over the named factor.
 
-    Kept deliberately independent of the detectors above: the eigenvalues
-    come from numpy's solver, not the in-house one, so agreement between
-    the two routes means something.
+    Kept deliberately independent of the detectors above: it diagonalizes
+    the partial transpose, a different matrix from the blocks P and R the
+    detectors diagonalize, so agreement between the two means something.
     """
     if len(rho.dims) != 2:
         raise ShapeError(f"PPT test needs exactly two subsystems, got dims {rho.dims}")

@@ -124,6 +124,24 @@ def trace_product(a, b) -> complex:
     return complex(np.sum(a * b.T))
 
 
+def _hermitian_part(m) -> np.ndarray:
+    """(m + m^H) / 2 of a square matrix, the input check of both eigen routes.
+
+    Hermiticity is required up to ``HERMITICITY_TOL`` on the worst entry;
+    anything beyond that is rejected rather than silently symmetrized.
+    """
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError(f"eigenvalues need a square matrix, got {a.shape}")
+    if a.shape[0]:
+        deviation = float(np.max(np.abs(a - a.conj().T)))
+        if deviation > HERMITICITY_TOL:
+            raise NotHermitianError(
+                f"matrix is not Hermitian: max |m - m^H| entry is {deviation:.3e}"
+            )
+    return (a + a.conj().T) / 2.0
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """Eigenvalues in ascending order plus solver diagnostics."""
@@ -136,26 +154,16 @@ class EigenResult:
 def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS) -> EigenResult:
     """All eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
 
-    Hermiticity is required up to ``HERMITICITY_TOL`` on the worst entry;
-    anything beyond that is rejected rather than silently symmetrized. Each
-    sweep annihilates every off-diagonal pair once with a unitary 2x2
-    rotation (a phase to make the pivot real, then a real Jacobi angle). The
-    loop stops when the Frobenius norm of the off-diagonal part drops below
-    ``offdiag_tol``, or after a sweep that found every off-diagonal entry
-    below 1e-300 and so rotated nothing; hitting ``max_sweeps`` first returns
-    the current estimate with ``converged=False``.
+    Input is checked as in ``lambda_min``. Each sweep annihilates every
+    off-diagonal pair once with a unitary 2x2 rotation (a phase to make the
+    pivot real, then a real Jacobi angle). The loop stops when the Frobenius
+    norm of the off-diagonal part drops below ``offdiag_tol``, or after a
+    sweep that found every off-diagonal entry below 1e-300 and so rotated
+    nothing; hitting ``max_sweeps`` first returns the current estimate with
+    ``converged=False``. Only the tripartite pair blocks still use it.
     """
-    a = as_matrix(m)
+    a = _hermitian_part(m)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"eigenvalues need a square matrix, got {a.shape}")
-    if n:
-        deviation = float(np.max(np.abs(a - a.conj().T)))
-        if deviation > HERMITICITY_TOL:
-            raise NotHermitianError(
-                f"matrix is not Hermitian: max |m - m^H| entry is {deviation:.3e}"
-            )
-    a = (a + a.conj().T) / 2.0
     threshold = float(offdiag_tol) ** 2
 
     def off_mass() -> float:
@@ -202,5 +210,5 @@ def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_M
 
 
 def lambda_min(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (Jacobi route)."""
-    return float(hermitian_eigenvalues(m).eigenvalues[0])
+    """Smallest eigenvalue of a Hermitian matrix, by LAPACK ``eigvalsh``."""
+    return float(np.linalg.eigvalsh(_hermitian_part(m))[0])

@@ -167,8 +167,10 @@ def ensemble_bound(ens: TripartiteEnsemble):
         diag_sq = float(sum(abs(v) ** 2 for v in pair.matrix.diagonal()))
         p_norm_sq = linalg.frobenius_norm_sq(blocks.p)
         r_norm_sq = linalg.frobenius_norm_sq(blocks.r)
-        lam_p = linalg.lambda_min(blocks.p)
-        lam_r = linalg.lambda_min(blocks.r)
+        # Jacobi, not lambda_min: the CLI golden pins these printed floats byte
+        # for byte; switch once CLI floats are compared within a tolerance.
+        lam_p = float(linalg.hermitian_eigenvalues(blocks.p).eigenvalues[0])
+        lam_r = float(linalg.hermitian_eigenvalues(blocks.r).eigenvalues[0])
         prefactor = math.sqrt(2.0 * d * (d - 1))
         ceiling = prefactor * (
             _clamped_sqrt(p_norm_sq + r_norm_sq - diag_sq, "pair block off-diagonal mass")

@@ -194,7 +194,10 @@ class TestAnalyze:
                            "--criteria", "no-such-check")
         assert code == 2
 
-    @pytest.mark.parametrize("dims", [4, [2, None], [2, float("inf")]])
+    @pytest.mark.parametrize(
+        "dims",
+        [4, [2, None], [2, float("inf")], [2.5, 2], [True, 2], [2, 1e300], [2, 4097], [64, 128]],
+    )
     def test_malformed_dims_exit_two(self, tmp_path, capsys, dims):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"dims": dims, "matrix": [[[1.0, 0.0]]]}))
@@ -262,6 +265,7 @@ class TestEnsembleCommand:
             ({"dims": 3, "terms": []}, "dims must be a list of integers"),
             ({"dims": [2, 2, 2], "terms": [{"weight": None}]}, "weight must be a number"),
             ({"dims": [2, 2, float("inf")], "terms": []}, "dims must be a list of integers"),
+            ({"dims": [2, 2, 2.5], "terms": []}, "dims must be a list of integers"),
         ],
     )
     def test_malformed_structure_exit_two(self, tmp_path, capsys, doc, message):

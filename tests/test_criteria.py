@@ -321,6 +321,18 @@ class TestSharedAnalysis:
         block_trace_check(random_density((2, 3), seed=8))
         assert counts == {"block_decompose": 1, "lambda_min": 0}
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
+    def test_checks_do_not_use_the_jacobi_solver(self, monkeypatch, dims):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bipartite checks must not call hermitian_eigenvalues")
+
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", forbidden)
+        state = random_density(dims, seed=31)
+        for check in applicable(state):
+            check(state)
+        # A fresh state, so separable_bound fills the analysis on its own.
+        separable_bound(random_density(dims, seed=31))
+
     def test_analysis_lives_only_as_long_as_its_state(self):
         state = random_density((2, 2), seed=9)
         for check in applicable(state):

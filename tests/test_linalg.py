@@ -164,9 +164,15 @@ class TestHermitianEigenvalues:
         result = hermitian_eigenvalues(KET_PLUS_STATE)
         np.testing.assert_allclose(result.eigenvalues, [0.0, 1.0], atol=1e-15)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @pytest.mark.parametrize("solve", [hermitian_eigenvalues, lambda_min], ids=["jacobi", "lapack"])
+    def test_rejects_non_hermitian(self, solve):
+        with pytest.raises(NotHermitianError, match=r"max \|m - m\^H\| entry is 1\.000e\+00"):
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("solve", [hermitian_eigenvalues, lambda_min], ids=["jacobi", "lapack"])
+    def test_rejects_non_square(self, solve):
+        with pytest.raises(ShapeError, match="square"):
+            solve(np.zeros((2, 3)))
 
     def test_matches_closed_form_on_1000_random(self):
         rng = np.random.default_rng(101)
@@ -235,6 +241,23 @@ class TestHermitianEigenvalues:
 
     def test_lambda_min_shortcut(self):
         assert lambda_min(np.diag([0.4, -0.1, 0.7])) == pytest.approx(-0.1, abs=1e-14)
+
+
+class TestLambdaMin:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_agrees_with_jacobi(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            m = random_hermitian(rng, n)
+            jacobi = hermitian_eigenvalues(m).eigenvalues[0]
+            assert abs(lambda_min(m) - jacobi) < 1e-12
+
+    def test_leaves_argument_unchanged(self):
+        m = random_hermitian(np.random.default_rng(29), 4)
+        m[0, 1] += 1e-12  # Hermitian within tolerance, but not exactly
+        before = m.copy()
+        lambda_min(m)
+        assert np.array_equal(m, before)
 
 
 class TestNorms:

@@ -15,11 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from cohdet import tripartite
+from cohdet import linalg, tripartite
 from cohdet.errors import NoQubitInPairError, NotPositiveError, ShapeError
 from cohdet.families import build_family
 from cohdet.linalg import tensor_product
-from cohdet.states import permute_subsystems, random_density, validate
+from cohdet.states import block_decompose, permute_subsystems, random_density, validate
 from cohdet.tripartite import (
     PAIRS,
     TripartiteEnsemble,
@@ -284,6 +284,28 @@ class TestSharedSurvey:
         monkeypatch.setattr(tripartite, "ensemble_bound_check", recorder)
         all_bipartitions_check(SURVEYED[name]())
         assert seen == list(labels)
+
+
+class TestPairBlockEigenRoute:
+    """The pair-block lambda_min values come from the Jacobi solver."""
+
+    @pytest.mark.parametrize("name", sorted(SURVEYED))
+    def test_two_jacobi_calls_per_term_with_identical_values(self, monkeypatch, name):
+        ens = SURVEYED[name]()
+        calls = []
+        real = linalg.hermitian_eigenvalues
+
+        def recorder(m, *args, **kwargs):
+            calls.append(1)
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", recorder)
+        _, terms = ensemble_bound(ens)
+        assert len(calls) == 2 * len(ens.terms)
+        for term, (_, state) in zip(terms, ens.terms):
+            blocks = block_decompose(tripartite._pair_state(state, ens.singled_out))
+            assert term.lambda_min_p == real(blocks.p).eigenvalues[0]
+            assert term.lambda_min_r == real(blocks.r).eigenvalues[0]
 
 
 class TestEnsembleValidation:
