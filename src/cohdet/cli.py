@@ -341,36 +341,53 @@ def _parse_range(raw: str) -> list:
     return points
 
 
-def _scan_rows(family, param, points, requested):
-    spec = get_family(family)
-    for value in points:
-        built = build_family(family, **{param: value})
+def _scan_cells(family, param, points, requested) -> dict:
+    """Each supported criterion's (lhs, rhs, margin, verdict) at every point of a sweep.
+
+    A state-family grid is built and checked as one stack; if that fails, its
+    points rerun one by one to raise what a point-by-point sweep met first.
+    """
+    if get_family(family).kind == "ensemble":
+        column = []
+        for value in points:
+            ens = build_family(family, **{param: value})
+            if "ensemble-bound" in requested:
+                r = tripartite.ensemble_bound_check(ens)
+                column.append((r.lhs, r.rhs, r.margin, r.verdict.value))
+        return {"ensemble-bound": column}
+
+    def evaluate(grid_points) -> dict:
+        grid = build_family(family, **{param: np.array(grid_points)})
+        cells = {}
         for name in requested:
-            if spec.kind == "ensemble":
-                supported = name == "ensemble-bound"
-            else:
-                supported = name in BIPARTITE_CHECKS and _unsupported_reason(name, built) is None
-            if not supported:
-                yield (value, name, math.nan, math.nan, math.nan, "Unsupported")
-                continue
-            if spec.kind == "ensemble":
-                report = tripartite.ensemble_bound_check(built)
-            else:
-                report = BIPARTITE_CHECKS[name](built)
-            yield (value, name, report.lhs, report.rhs, report.margin, report.verdict.value)
+            if name in BIPARTITE_CHECKS and not _unsupported_reason(name, grid):
+                r = BIPARTITE_CHECKS[name](grid)
+                numbers = (r.lhs.tolist(), r.rhs.tolist(), r.margin.tolist())
+                cells[name] = list(zip(*numbers, [v.value for v in r.verdict]))
+        return cells
+
+    try:
+        return evaluate(points)
+    except ValueError:
+        for value in points:
+            evaluate([value])
+        raise
 
 
 def _cmd_scan(args) -> int:
     get_family(args.family).parameter(args.param)  # fail fast on a bad name
     requested = _parse_criteria(args.criteria)
     points = _parse_range(args.range)
+    # Nothing is written until every row is known: a failing sweep leaves no file.
+    cells = _scan_cells(args.family, args.param, points, requested)
+    unsupported = (math.nan, math.nan, math.nan, "Unsupported")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for value, name, lhs, rhs, margin, verdict in _scan_rows(
-            args.family, args.param, points, requested
-        ):
-            writer.writerow([_fmt(value), name, _fmt(lhs), _fmt(rhs), _fmt(margin), verdict])
+        for i, value in enumerate(points):
+            for name in requested:
+                lhs, rhs, margin, verdict = cells[name][i] if name in cells else unsupported
+                writer.writerow([_fmt(value), name, _fmt(lhs), _fmt(rhs), _fmt(margin), verdict])
     print(f"wrote {args.out} ({len(points)} points x {len(requested)} criteria)")
     return 0
 

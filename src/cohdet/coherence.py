@@ -8,17 +8,19 @@ from . import linalg
 from .states import DensityMatrix
 
 
-def l1_coherence(state) -> float:
+def l1_coherence(state):
     """Sum of |entry| over all off-diagonal positions.
 
-    Accepts a DensityMatrix or a bare square matrix. Hermitian pairs
-    contribute twice, once per side of the diagonal. Tiny magnitudes are
-    summed as they are, with no cosmetic thresholding.
+    Accepts a DensityMatrix or a bare square matrix, or a stack (one value
+    per matrix). Hermitian pairs contribute twice, once per side of the
+    diagonal. Tiny magnitudes are summed as they are, with no thresholding.
     """
-    m = state.matrix if isinstance(state, DensityMatrix) else linalg.as_matrix(state)
-    magnitudes = np.abs(m)
-    np.fill_diagonal(magnitudes, 0.0)
-    return float(magnitudes.sum())
+    m = state.matrix if isinstance(state, DensityMatrix) else linalg.as_matrices(state)
+    rows, cols = m.shape[-2:]
+    magnitudes = np.abs(m).reshape(m.shape[:-2] + (rows * cols,))
+    # Every (cols + 1)-th flat entry is diagonal, as in np.fill_diagonal.
+    magnitudes[..., : min(rows, cols) * (cols + 1) : cols + 1] = 0.0
+    return linalg.item_or_array(magnitudes.sum(axis=-1))
 
 
 def product_coherence(c_left: float, c_right: float) -> float:

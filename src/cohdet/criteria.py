@@ -12,7 +12,8 @@ entangled, a silent one says nothing. The block-spectrum check is the lone
 exception, phrased as a condition every separable state is supposed to meet,
 so its non-firing verdict is SeparabilityConsistent rather than
 Inconclusive. See the module tests for measured behavior of each check on
-states with known separability, which is not uniformly flattering.
+states with known separability, which is not uniformly flattering. A
+stacked DensityMatrix gets per-state values, each as if checked alone.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class CriterionReport:
+    """A check's two sides, margin and verdict; arrays, one entry per state, for a stack."""
+
     criterion: str
     lhs: float
     rhs: float
@@ -63,16 +66,10 @@ class PptVerdict:
 
 def _report(criterion, lhs, rhs, *, fired, quiet, notes=()) -> CriterionReport:
     margin = lhs - rhs
-    verdict = fired if margin > DETECTION_TOLERANCE else quiet
-    return CriterionReport(
-        criterion=criterion,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        verdict=verdict,
-        tolerance=DETECTION_TOLERANCE,
-        notes=tuple(notes),
-    )
+    above = margin > DETECTION_TOLERANCE
+    stacked = isinstance(above, np.ndarray)
+    verdict = np.where(above, fired, quiet) if stacked else (fired if above else quiet)
+    return CriterionReport(criterion, lhs, rhs, margin, verdict, DETECTION_TOLERANCE, tuple(notes))
 
 
 # Quantities several checks read from one state, filled on first use. Keyed
@@ -112,16 +109,16 @@ def _diagonal_functional(rho: DensityMatrix) -> float:
     return _shared(rho, "diagonal_functional", lambda: _coherence_rhs(_blocks(rho)))
 
 
-def _coherence_rhs(blocks: BlockDecomposition) -> float:
+def _coherence_rhs(blocks: BlockDecomposition):
     """Diagonal-block functional the coherence detectors compare against.
 
     Equals the off-diagonal mass of P+R plus twice Tr(PR); both terms are
     real for Hermitian blocks up to roundoff, which is discarded.
     """
-    d = blocks.p.shape[0]
-    coupling = linalg.trace_product(blocks.p + blocks.r, gellmann.symmetric_sum(d))
-    cross = linalg.trace_product(blocks.p, blocks.r)
-    return float(coupling.real + 2.0 * cross.real)
+    p, r = blocks.p, blocks.r
+    coupling = linalg.trace_product(p + r, gellmann.symmetric_sum(p.shape[-1]))
+    cross = linalg.trace_product(p, r)
+    return coupling.real + 2.0 * cross.real
 
 
 def qubit_coherence_check(rho: DensityMatrix) -> CriterionReport:
@@ -186,13 +183,14 @@ def block_spectrum_check(rho: DensityMatrix) -> CriterionReport:
     )
 
 
-def _clamped_sqrt(value: float, what: str) -> float:
-    if value < -RADICAND_TOL:
-        raise NegativeRadicandError(f"{what} is {value:.3e}, beyond the -1e-10 window")
-    return math.sqrt(max(value, 0.0))
+def _clamped_sqrt(value, what: str):
+    worst = linalg.first_flagged(value, value < -RADICAND_TOL)
+    if worst is not None:
+        raise NegativeRadicandError(f"{what} is {worst:.3e}, beyond the -1e-10 window")
+    return linalg.item_or_array(np.sqrt(np.maximum(value, 0.0)))
 
 
-def separable_bound(rho: DensityMatrix) -> float:
+def separable_bound(rho: DensityMatrix):
     """Coherence ceiling that separable qubit-qudit states are claimed to obey.
 
     sqrt(2d(d-1)) * [ (|P|_2^2 + |R|_2^2 - sum_j |rho_jj|^2)^(1/2)
@@ -203,8 +201,8 @@ def separable_bound(rho: DensityMatrix) -> float:
     lower raises, since it means an invalid state slipped through.
     """
     blocks = _blocks(rho)
-    d = blocks.p.shape[0]
-    diag_sq = float(np.sum(np.abs(np.diagonal(rho.matrix)) ** 2))
+    d = blocks.p.shape[-1]
+    diag_sq = (np.abs(np.diagonal(rho.matrix, axis1=-2, axis2=-1)) ** 2).sum(axis=-1)
     radicand = (
         linalg.frobenius_norm_sq(blocks.p) + linalg.frobenius_norm_sq(blocks.r) - diag_sq
     )

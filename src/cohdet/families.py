@@ -1,9 +1,10 @@
 """Named parameterized states and ensembles used across tests and sweeps.
 
-Two kinds of family live in the registry. State families build a single
-bipartite DensityMatrix; ensemble families build a TripartiteEnsemble whose
-decomposition is part of the definition. Each family declares its parameter
-ranges so sweeps can be validated before any matrix is assembled.
+Two kinds of family live in the registry. State families build a bipartite
+DensityMatrix, stacked for parameter arrays; ensemble families build a
+TripartiteEnsemble whose decomposition is part of the definition. Each family
+declares its parameter ranges so sweeps can be validated before any matrix is
+assembled.
 """
 
 from __future__ import annotations
@@ -61,20 +62,25 @@ def _projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _refuse(broken, template: str, *quantities) -> None:
+    """Raise ParamOutOfRangeError, worded at the first grid point where ``broken`` holds."""
+    hits = np.flatnonzero(broken)
+    if hits.size:
+        values = (np.ravel(q)[hits[0]].item() for q in quantities)
+        raise ParamOutOfRangeError(template.format(*values))
+
+
 def _build_xstate22(v) -> DensityMatrix:
-    a, b, d, c, f = v["a"], v["b"], v["d"], v["c"], v["f"]
+    a, b, d, c, f = np.broadcast_arrays(*(np.asarray(v[k], dtype=float) for k in "abdcf"))
     e = 1.0 - a - b - d
-    if e < -MINOR_SLACK:
-        raise ParamOutOfRangeError(f"diagonal weights a+b+d = {a + b + d} exceed 1")
-    e = max(e, 0.0)
-    if c * c > b * d + MINOR_SLACK:
-        raise ParamOutOfRangeError(f"positivity needs c^2 <= b*d, got c={c}, b*d={b * d}")
-    if f * f > a * e + MINOR_SLACK:
-        raise ParamOutOfRangeError(f"positivity needs f^2 <= a*e, got f={f}, a*e={a * e}")
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = a, b, d, e
-    m[0, 3] = m[3, 0] = f
-    m[1, 2] = m[2, 1] = c
+    _refuse(e < -MINOR_SLACK, "diagonal weights a+b+d = {} exceed 1", a + b + d)
+    e = np.maximum(e, 0.0)
+    _refuse(c * c > b * d + MINOR_SLACK, "positivity needs c^2 <= b*d, got c={}, b*d={}", c, b * d)
+    _refuse(f * f > a * e + MINOR_SLACK, "positivity needs f^2 <= a*e, got f={}, a*e={}", f, a * e)
+    m = np.zeros(a.shape + (4, 4), dtype=np.complex128)
+    m[..., 0, 0], m[..., 1, 1], m[..., 2, 2], m[..., 3, 3] = a, b, d, e
+    m[..., 0, 3] = m[..., 3, 0] = f
+    m[..., 1, 2] = m[..., 2, 1] = c
     return validate(m, (2, 2))
 
 
@@ -84,14 +90,14 @@ def _build_xstate22_slice(v) -> DensityMatrix:
 
 
 def _build_xstate24(v) -> DensityMatrix:
-    a = v["a"]
+    a = np.asarray(v["a"], dtype=float)
     lo = a / (6.0 * a + 1.0)
     hi = (a + 1.0) / (6.0 * a + 1.0)
-    top = np.diag([lo, lo, lo, 0.0])
-    bottom = np.diag([0.0, lo, lo, hi])
-    coupling = np.zeros((4, 4))
-    coupling[0, 3] = coupling[1, 2] = coupling[2, 1] = lo
-    m = np.block([[top, coupling], [coupling.T, bottom]]).astype(np.complex128)
+    # P = diag(lo, lo, lo, 0), R = diag(0, lo, lo, hi), Q = lo at (0, 3), (1, 2), (2, 1).
+    m = np.zeros(a.shape + (8, 8), dtype=np.complex128)
+    for row, col in ((0, 0), (1, 1), (2, 2), (5, 5), (6, 6), (0, 7), (1, 6), (2, 5)):
+        m[..., row, col] = m[..., col, row] = lo
+    m[..., 7, 7] = hi
     return validate(m, (2, 4))
 
 
@@ -223,18 +229,17 @@ def get_family(name: str) -> FamilySpec:
 def build_family(name: str, **overrides):
     """Build a family member at the given parameter values.
 
-    Unspecified parameters take their declared defaults. Values outside a
-    parameter's range, or combinations that break the family's own validity
-    conditions, raise ParamOutOfRangeError.
+    Unspecified parameters take their declared defaults; state families also
+    take arrays and build that grid as one stacked DensityMatrix. Values
+    outside a parameter's range, or combinations that break the family's own
+    validity conditions, raise ParamOutOfRangeError, naming the first point.
     """
     spec = get_family(name)
     values = {p.name: p.default for p in spec.parameters}
     for key, value in overrides.items():
         p = spec.parameter(key)
-        value = float(value)
-        if not p.low <= value <= p.high:
-            raise ParamOutOfRangeError(
-                f"{name}.{key} must lie in [{p.low}, {p.high}], got {value}"
-            )
+        value = np.asarray(value, dtype=float)
+        template = f"{name}.{key} must lie in [{p.low}, {p.high}], got {{}}"
+        _refuse(~((p.low <= value) & (value <= p.high)), template, value)
         values[key] = value
     return spec.build(values)

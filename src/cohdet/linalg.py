@@ -3,6 +3,8 @@
 Matrices are plain ``numpy.complex128`` arrays. Every function is pure and
 results never alias their arguments. Sizes are capped at ``MAX_DIMENSION``
 because everything downstream works with a handful of qubits and qudits.
+The kernels of the bipartite checks also take a stack ``(N, n, n)`` and
+return one value per matrix, with the bits of that matrix taken alone.
 """
 
 from __future__ import annotations
@@ -20,14 +22,35 @@ JACOBI_OFFDIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 
 
-def as_matrix(candidate) -> np.ndarray:
-    """Coerce to a fresh, finite complex128 2-d array."""
+def as_matrices(candidate) -> np.ndarray:
+    """Coerce to a fresh, finite complex128 matrix, or stack ``(N, n, m)`` of matrices."""
     m = np.array(candidate, dtype=np.complex128, copy=True)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a matrix, got an array of shape {m.shape}")
+    if m.ndim not in (2, 3):
+        raise ShapeError(f"expected a matrix or a stack of them, got an array of shape {m.shape}")
     if not np.isfinite(m).all():
         raise ShapeError("matrix contains NaN or infinite entries")
     return m
+
+
+def as_matrix(candidate) -> np.ndarray:
+    """Coerce to a fresh, finite complex128 2-d array."""
+    m = as_matrices(candidate)
+    if m.ndim != 2:
+        raise ShapeError(f"expected a matrix, got an array of shape {m.shape}")
+    return m
+
+
+def item_or_array(values):
+    """A single matrix's numpy result as a Python scalar, a stack's as its array."""
+    return values.item() if values.ndim == 0 else values
+
+
+def first_flagged(values, flags):
+    """The first of ``values`` (a scalar or a stack's array) whose flag is set, or None."""
+    if not isinstance(flags, np.ndarray):
+        return values if flags else None
+    hits = np.flatnonzero(flags)
+    return values.ravel()[hits[0]].item() if hits.size else None
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -109,37 +132,42 @@ def partial_transpose(rho, dims, subsystem="B") -> np.ndarray:
     return np.ascontiguousarray(t.reshape(da * db, da * db))
 
 
-def frobenius_norm_sq(m) -> float:
-    """Sum of squared absolute entries."""
+def frobenius_norm_sq(m):
+    """Sum of squared absolute entries, per matrix; a row-times-column matmul keeps vdot's bits."""
     m = np.asarray(m, dtype=np.complex128)
-    return float(np.vdot(m, m).real)
+    rows = m.reshape(m.shape[:-2] + (1, -1))
+    return item_or_array((rows.conj() @ rows.swapaxes(-1, -2))[..., 0, 0].real)
 
 
-def trace_product(a, b) -> complex:
-    """Tr(a @ b) without forming the product."""
+def trace_product(a, b):
+    """Tr(a @ b) without forming the product, per matrix of a stack a; b may be one matrix."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape != b.shape or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or b.shape not in (a.shape, a.shape[-2:]) or a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"trace product needs equal square matrices, got {a.shape} and {b.shape}")
-    return complex(np.sum(a * b.T))
+    return item_or_array((a * b.swapaxes(-1, -2)).sum(axis=(-2, -1)))
+
+
+def hermiticity_deviation(m):
+    """Largest |m - m^H| entry of a square matrix, or of each matrix in a stack."""
+    a = np.asarray(m)
+    return item_or_array(np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0))
 
 
 def _hermitian_part(m) -> np.ndarray:
-    """(m + m^H) / 2 of a square matrix, the input check of both eigen routes.
+    """(m + m^H) / 2 of a square matrix or stack, the input check of both eigen routes.
 
     Hermiticity is required up to ``HERMITICITY_TOL`` on the worst entry;
     anything beyond that is rejected rather than silently symmetrized.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = as_matrices(m)
+    if a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"eigenvalues need a square matrix, got {a.shape}")
-    if a.shape[0]:
-        deviation = float(np.max(np.abs(a - a.conj().T)))
-        if deviation > HERMITICITY_TOL:
-            raise NotHermitianError(
-                f"matrix is not Hermitian: max |m - m^H| entry is {deviation:.3e}"
-            )
-    return (a + a.conj().T) / 2.0
+    deviation = hermiticity_deviation(a)
+    worst = first_flagged(deviation, deviation > HERMITICITY_TOL)
+    if worst is not None:
+        raise NotHermitianError(f"matrix is not Hermitian: max |m - m^H| entry is {worst:.3e}")
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -163,6 +191,8 @@ def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_M
     ``converged=False``. Only the tripartite pair blocks still use it.
     """
     a = _hermitian_part(m)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a matrix, got an array of shape {a.shape}")
     n = a.shape[0]
     threshold = float(offdiag_tol) ** 2
 
@@ -209,6 +239,9 @@ def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_M
     return EigenResult(eigenvalues, converged, sweeps)
 
 
-def lambda_min(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, by LAPACK ``eigvalsh``."""
-    return float(np.linalg.eigvalsh(_hermitian_part(m))[0])
+def lambda_min(m):
+    """Smallest eigenvalue of a Hermitian matrix (each of a stack), by LAPACK ``eigvalsh``."""
+    h = _hermitian_part(m)
+    if h.shape[-1] == 0:
+        raise ShapeError(f"a 0x0 matrix has no smallest eigenvalue, got shape {h.shape}")
+    return item_or_array(np.linalg.eigvalsh(h)[..., 0])

@@ -25,7 +25,6 @@ from .errors import (
     ShapeError,
 )
 
-HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL = 1e-10
 
@@ -37,7 +36,7 @@ RNG_SCHEME = "pcg64-boxmuller-v1"
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A square complex matrix together with its subsystem dimensions.
+    """A square complex matrix, or a stack ``(N, n, n)`` of them, with subsystem dimensions.
 
     Construction checks shape consistency only; use :func:`validate` when the
     physical invariants (Hermitian, unit trace, positive semidefinite) need
@@ -48,13 +47,13 @@ class DensityMatrix:
     dims: tuple
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
+        m = linalg.as_matrices(self.matrix)
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise ShapeError(f"subsystem dimensions must be positive, got {dims}")
-        if m.shape != (math.prod(dims), math.prod(dims)):
+        if m.shape[-2:] != (math.prod(dims), math.prod(dims)):
             raise ShapeError(
-                f"matrix is {m.shape[0]}x{m.shape[1]} but dims {dims} imply {math.prod(dims)}"
+                f"matrix is {m.shape[-2]}x{m.shape[-1]} but dims {dims} imply {math.prod(dims)}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -62,31 +61,41 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
+
+
+def _violations(deviation: float, trace_error: float, smallest: float) -> list:
+    if deviation > linalg.HERMITICITY_TOL:
+        # eigenvalues are meaningless past this point
+        return [f"not Hermitian: max |m - m^H| entry is {deviation:.3e}"]
+    found = []
+    if trace_error > TRACE_TOL:
+        found.append(f"trace is not 1: |Tr - 1| = {trace_error:.3e}")
+    if smallest < -PSD_TOL:
+        found.append(f"not positive semidefinite: min eigenvalue {smallest:.3e}")
+    return found
+
+
+def _violations_per_state(m: np.ndarray, require_psd: bool) -> list:
+    deviation = linalg.hermiticity_deviation(m)
+    trace_error = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    hermitian = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    smallest = np.linalg.eigvalsh(hermitian)[..., 0] if require_psd else np.zeros_like(trace_error)
+    measures = np.column_stack((deviation, trace_error, smallest)).tolist()
+    return [_violations(*point) for point in measures]
 
 
 def state_violations(matrix, dims, require_psd: bool = True) -> list:
     """All failed physical invariants of a candidate, with magnitudes.
 
-    Returns an empty list when the candidate is a valid state. Structural
-    problems (wrong shape, bad dims) raise ShapeError instead of being
-    reported, since nothing else can be checked without a square matrix.
+    Returns an empty list when the candidate is a valid state, and one such
+    list per state for a stack. Structural problems (wrong shape, bad dims)
+    raise ShapeError instead of being reported, since nothing else can be
+    checked without a square matrix.
     """
-    state = DensityMatrix(matrix, dims)
-    m = state.matrix
-    found = []
-    deviation = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if deviation > HERMITICITY_TOL:
-        found.append(f"not Hermitian: max |m - m^H| entry is {deviation:.3e}")
-        return found  # eigenvalues are meaningless past this point
-    trace_error = abs(complex(np.trace(m)) - 1.0)
-    if trace_error > TRACE_TOL:
-        found.append(f"trace is not 1: |Tr - 1| = {trace_error:.3e}")
-    if require_psd:
-        smallest = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-        if smallest < -PSD_TOL:
-            found.append(f"not positive semidefinite: min eigenvalue {smallest:.3e}")
-    return found
+    m = DensityMatrix(matrix, dims).matrix
+    per_state = _violations_per_state(m, require_psd)
+    return per_state if m.ndim == 3 else per_state[0]
 
 
 def validate(matrix, dims, *, require_psd: bool = True) -> DensityMatrix:
@@ -96,9 +105,10 @@ def validate(matrix, dims, *, require_psd: bool = True) -> DensityMatrix:
     lower than -1e-10. Nothing is clamped or renormalized; a candidate that
     fails is rejected as is. ``require_psd=False`` skips only the positivity
     check (used for as-printed fixture constructions that are Hermitian and
-    unit-trace but indefinite).
+    unit-trace but indefinite). A stack fails with its first failing state.
     """
-    found = state_violations(matrix, dims, require_psd=require_psd)
+    state = DensityMatrix(matrix, dims)
+    found = next(filter(None, _violations_per_state(state.matrix, require_psd)), [])
     if found:
         message = "; ".join(found)
         if found[0].startswith("not Hermitian"):
@@ -106,7 +116,7 @@ def validate(matrix, dims, *, require_psd: bool = True) -> DensityMatrix:
         if found[0].startswith("trace"):
             raise NotUnitTraceError(message, found)
         raise NotPositiveError(message, found)
-    return DensityMatrix(matrix, dims)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +133,7 @@ class BlockDecomposition:
     r: np.ndarray
 
     def reassemble(self) -> np.ndarray:
-        return np.block([[self.p, self.q], [self.q.conj().T, self.r]])
+        return np.block([[self.p, self.q], [self.q.conj().swapaxes(-1, -2), self.r]])
 
 
 def block_decompose(rho: DensityMatrix) -> BlockDecomposition:
@@ -140,9 +150,9 @@ def block_decompose(rho: DensityMatrix) -> BlockDecomposition:
     d = rho.dim // 2
     m = rho.matrix
     return BlockDecomposition(
-        p=linalg.as_matrix(m[:d, :d]),
-        q=linalg.as_matrix(m[:d, d:]),
-        r=linalg.as_matrix(m[d:, d:]),
+        p=np.array(m[..., :d, :d]),
+        q=np.array(m[..., :d, d:]),
+        r=np.array(m[..., d:, d:]),
     )
 
 

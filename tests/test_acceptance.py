@@ -58,6 +58,18 @@ DETECTORS = {
 }
 
 
+class Corpora(dict):
+    """Corpus records keyed by qudit dimension, with a repr of sizes only.
+
+    A failing test that takes the corpora as an argument then reports its
+    own message, not thousands of reports whose last digits carry roundoff.
+    """
+
+    def __repr__(self):
+        sizes = ", ".join(f"2x{d}: {len(records)} states" for d, records in sorted(self.items()))
+        return f"Corpora({sizes})"
+
+
 @pytest.fixture(scope="module")
 def generic_corpora():
     """Seeded 2x2 and 2x3 corpora with every detector verdict precomputed.
@@ -65,7 +77,7 @@ def generic_corpora():
     Shared between the soundness criterion and the rate report so the
     10000 states are generated and analyzed exactly once per run.
     """
-    corpora = {}
+    corpora = Corpora()
     for d, base in GENERIC_BASES.items():
         records = []
         for i in range(CORPUS_SIZE):

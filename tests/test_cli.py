@@ -8,6 +8,7 @@ writer promises determinism.
 """
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,8 @@ from cohdet.cli import main, read_ensemble, read_state, state_document, write_st
 from cohdet.coherence import l1_coherence
 from cohdet.errors import ParseError
 from cohdet.states import random_density
+
+CLI_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli.json"
 
 FIXTURE_NAMES = [
     "bell_pair.json",
@@ -372,6 +375,41 @@ class TestScan:
         )
         assert code == 2
         assert "must lie in" in err
+
+
+    def test_xstate24_sweep_matches_the_pinned_digest(self, tmp_path, capsys, monkeypatch):
+        golden = json.loads(CLI_GOLDEN.read_text())["scan:xstate24"]
+        ((out_name, digest),) = golden["files"].items()
+        monkeypatch.chdir(tmp_path)
+        Path(out_name).parent.mkdir()
+        code, out, _ = run(
+            capsys, "scan", "--family", "xstate24", "--param", "a",
+            "--range", "0:1:0.001", "--criteria", "all", "--out", out_name,
+        )
+        assert code == 0
+        assert out == golden["stdout"]
+        assert hashlib.sha256(Path(out_name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("family, param, grid, message", [
+        ("xstate24", "a", "0:2:0.5", "xstate24.a must lie in [0.0, 1.0], got 1.5"),
+        ("xstate22", "c", "0:0.5:0.1",
+         "positivity needs c^2 <= b*d, got c=0.30000000000000004, b*d=0.0625"),
+        # c = 0.3 breaks positivity before c = 0.6 leaves the declared range.
+        ("xstate22", "c", "0:0.6:0.1",
+         "positivity needs c^2 <= b*d, got c=0.30000000000000004, b*d=0.0625"),
+        ("xstate22", "a", "0.5:1.5:0.1", "diagonal weights a+b+d = 1.1 exceed 1"),
+        ("bellmix", "p", "0:2:0.5", "bellmix.p must lie in [0.0, 1.0], got 1.5"),
+    ])
+    def test_failed_scan_writes_no_file(self, tmp_path, capsys, family, param, grid, message):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run(
+            capsys, "scan", "--family", family, "--param", param,
+            "--range", grid, "--criteria", "all", "--out", str(out_csv),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not out_csv.exists()
 
 
 class TestGgm:

@@ -47,6 +47,11 @@ class TestL1Coherence:
     def test_value_is_plain_float(self):
         assert isinstance(l1_coherence(np.eye(3) / 3), float)
 
+    def test_stack_gives_each_state_its_own_bits(self):
+        states = [random_density((2, 3), rank=(i % 6) + 1, seed=2500 + i) for i in range(30)]
+        stacked = l1_coherence(np.array([s.matrix for s in states]))
+        assert stacked.tobytes() == np.array([l1_coherence(s) for s in states]).tobytes()
+
     def test_counts_both_triangle_halves(self):
         m = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
         assert l1_coherence(m) == pytest.approx(0.5, abs=1e-15)

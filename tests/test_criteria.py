@@ -355,6 +355,70 @@ class TestSharedAnalysis:
                 assert check(shared) == check(fresh)
 
 
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def family_stack(name, param, values):
+    values = np.asarray(values, dtype=float)
+    stack = build_family(name, **{param: values})
+    return stack, [build_family(name, **{param: v}) for v in values.tolist()]
+
+
+def ginibre_stack(dims, base, count=48):
+    """Seeded states whose ranks cycle through 1..D, so rank-1 ones are in."""
+    total = math.prod(dims)
+    singles = [random_density(dims, rank=i % total + 1, seed=base + i) for i in range(count)]
+    return validate(np.array([s.matrix for s in singles]), dims), singles
+
+
+STACKS = {
+    "xstate22": lambda: family_stack("xstate22", "c", np.linspace(-0.25, 0.25, 101)),
+    "xstate22-slice": lambda: family_stack("xstate22-slice", "c", np.linspace(0.0, 0.25, 251)),
+    "xstate24": lambda: family_stack("xstate24", "a", np.linspace(0.0, 1.0, 1001)),
+    "ginibre-2x2": lambda: ginibre_stack((2, 2), 81000),
+    "ginibre-2x3": lambda: ginibre_stack((2, 3), 82000),
+    "ginibre-2x4": lambda: ginibre_stack((2, 4), 83000),
+}
+
+
+class TestStackedChecks:
+    @pytest.mark.parametrize("case", list(STACKS))
+    def test_stack_reports_equal_per_state_reports(self, case):
+        stack, singles = STACKS[case]()
+        assert same_bits(separable_bound(stack), [separable_bound(s) for s in singles])
+        for check in applicable(singles[0]):
+            if check is separable_bound:
+                continue
+            stacked = check(stack)
+            reports = [check(s) for s in singles]
+            for field in ("lhs", "rhs", "margin"):
+                assert same_bits(getattr(stacked, field), [getattr(r, field) for r in reports])
+            assert list(stacked.verdict) == [r.verdict for r in reports]
+            assert (stacked.criterion, stacked.tolerance, stacked.notes) == (
+                reports[0].criterion, reports[0].tolerance, reports[0].notes,
+            )
+
+    def test_a_stack_is_analyzed_once(self, monkeypatch):
+        stack, _ = ginibre_stack((2, 3), 84000, count=10)
+        calls = []
+        monkeypatch.setattr(linalg, "lambda_min", lambda m, f=linalg.lambda_min: calls.append(m.shape) or f(m))
+        for check in applicable(stack):
+            check(stack)
+        assert calls == [(10, 3, 3), (10, 3, 3)]
+
+    def test_radicand_failure_names_the_first_failing_state(self):
+        indefinite = np.diag([0.6, -0.1, 0.0, 0.5]).astype(complex)
+        worse = np.diag([0.7, -0.2, 0.0, 0.5]).astype(complex)
+        fine = np.eye(4, dtype=complex) / 4
+        stack = validate(np.array([fine, indefinite, worse]), (2, 2), require_psd=False)
+        with pytest.raises(NegativeRadicandError) as stacked:
+            separable_bound(stack)
+        with pytest.raises(NegativeRadicandError) as single:
+            separable_bound(validate(indefinite, (2, 2), require_psd=False))
+        assert str(stacked.value) == str(single.value)
+
+
 class TestReportShape:
     def test_margin_is_exact_difference(self):
         for seed in range(50):

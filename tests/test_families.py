@@ -145,6 +145,60 @@ class TestXState24:
             assert state.matrix[pos] == pytest.approx(m, abs=1e-15)
 
 
+GRIDS = [
+    ("xstate22", "c", np.linspace(-0.25, 0.25, 41)),
+    ("xstate22", "a", np.linspace(0.0, 0.5, 41)),
+    ("xstate22-slice", "c", np.linspace(0.0, 0.25, 41)),
+    ("xstate24", "a", np.linspace(0.0, 1.0, 101)),
+]
+
+
+def first_point_failure(name, **grid) -> str:
+    for point in zip(*grid.values()):
+        try:
+            build_family(name, **dict(zip(grid, point)))
+        except ParamOutOfRangeError as exc:
+            return str(exc)
+    raise AssertionError("no point of the grid fails")
+
+
+class TestStateFamilyGrids:
+    @pytest.mark.parametrize("name, param, values", GRIDS)
+    def test_grid_is_the_stack_of_its_points(self, name, param, values):
+        stack = build_family(name, **{param: values})
+        assert stack.matrix.shape == (len(values), stack.dim, stack.dim)
+        for value, matrix in zip(values.tolist(), stack.matrix):
+            assert matrix.tobytes() == build_family(name, **{param: value}).matrix.tobytes()
+
+    @pytest.mark.parametrize("a", [0.0, 0.013, 0.3, 1.0])
+    def test_xstate24_keeps_its_block_recipe(self, a):
+        lo = a / (6.0 * a + 1.0)
+        hi = (a + 1.0) / (6.0 * a + 1.0)
+        coupling = np.zeros((4, 4))
+        coupling[0, 3] = coupling[1, 2] = coupling[2, 1] = lo
+        expected = np.block([
+            [np.diag([lo, lo, lo, 0.0]), coupling],
+            [coupling.T, np.diag([0.0, lo, lo, hi])],
+        ]).astype(np.complex128)
+        assert build_family("xstate24", a=a).matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name, grid", [
+        ("xstate24", {"a": [0.5, 1.5, 2.0]}),
+        ("xstate22", {"c": [0.0, 0.45, 0.3]}),
+        ("xstate22", {"a": [0.2, 0.5], "f": [0.0, 0.3]}),
+    ])
+    def test_grid_breaking_one_condition_fails_as_its_first_failing_point(self, name, grid):
+        with pytest.raises(ParamOutOfRangeError) as info:
+            build_family(name, **{key: np.array(values) for key, values in grid.items()})
+        assert str(info.value) == first_point_failure(name, **grid)
+
+    def test_conditions_are_checked_in_order_over_the_whole_grid(self):
+        # Point 0 breaks positivity and point 2 the diagonal sum, which is
+        # checked first. The scan command finds the first failing point itself.
+        with pytest.raises(ParamOutOfRangeError, match=r"a\+b\+d = 1.3 exceed 1"):
+            build_family("xstate22", a=np.array([0.2, 0.3, 0.8]), c=np.array([0.3, 0.0, 0.0]))
+
+
 class TestEnsembleFamilies:
     def test_bellmix_matrix_entries(self):
         mix = build_family("bellmix", p=0.5).mixture()

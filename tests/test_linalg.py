@@ -18,6 +18,7 @@ from cohdet.families import build_family
 from cohdet.linalg import (
     JACOBI_MAX_SWEEPS,
     MAX_DIMENSION,
+    as_matrices,
     as_matrix,
     frobenius_norm_sq,
     hermitian_eigenvalues,
@@ -258,6 +259,59 @@ class TestLambdaMin:
         before = m.copy()
         lambda_min(m)
         assert np.array_equal(m, before)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_matrix_is_a_shape_error(self, shape):
+        with pytest.raises(ShapeError, match="0x0"):
+            lambda_min(np.zeros(shape))
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+    def test_kernels_give_each_matrix_its_own_bits(self, n):
+        rng = np.random.default_rng(700 + n)
+        stack = np.array([random_hermitian(rng, n) for _ in range(30)])
+        other = np.array([random_hermitian(rng, n) for _ in range(30)])
+        assert same_bits(lambda_min(stack), [lambda_min(m) for m in stack])
+        assert same_bits(frobenius_norm_sq(stack), [frobenius_norm_sq(m) for m in stack])
+        assert same_bits(
+            trace_product(stack, other), [trace_product(a, b) for a, b in zip(stack, other)]
+        )
+
+    def test_norm_keeps_the_bits_of_vdot(self):
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 4, 8, 16):
+            for _ in range(20):
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                assert frobenius_norm_sq(m) == float(np.vdot(m, m).real)
+
+    def test_a_single_matrix_gives_python_scalars(self):
+        m = random_hermitian(np.random.default_rng(47), 3)
+        assert type(lambda_min(m)) is float
+        assert type(frobenius_norm_sq(m)) is float
+        assert type(trace_product(m, m)) is complex
+
+    def test_first_non_hermitian_matrix_is_reported(self):
+        stack = np.zeros((4, 2, 2), dtype=complex)
+        stack[1, 0, 1] = 0.5
+        stack[3, 0, 1] = 2.0
+        with pytest.raises(NotHermitianError, match=r"entry is 5\.000e-01"):
+            lambda_min(stack)
+
+    def test_stacks_have_their_own_shape_check(self):
+        assert as_matrices(np.zeros((3, 2, 2))).shape == (3, 2, 2)
+        with pytest.raises(ShapeError, match="stack"):
+            as_matrices(np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ShapeError, match="NaN"):
+            as_matrices(np.full((2, 2, 2), np.nan))
+
+    def test_jacobi_takes_one_matrix_at_a_time(self):
+        with pytest.raises(ShapeError, match="expected a matrix"):
+            hermitian_eigenvalues(np.zeros((2, 2, 2)))
 
 
 class TestNorms:

@@ -19,6 +19,7 @@ from cohdet.errors import (
     NotUnitTraceError,
     QubitNotFirstError,
     ShapeError,
+    ValidationError,
 )
 from cohdet.linalg import tensor_product
 from cohdet.states import (
@@ -107,6 +108,62 @@ class TestValidate:
         assert not state.matrix.flags.writeable
         source[0, 0] = 9.0
         assert state.matrix[0, 0] == 0.25
+
+
+def mixed_candidates() -> list:
+    """Valid 2x2 states interleaved with every kind of rejection."""
+    skewed = x_state(0.25, 0.25, 0.25, c=0.1, f=0.0)
+    skewed[2, 1] = 0.3
+    return [
+        np.eye(4) / 4,
+        bell_state().matrix,
+        x_state(0.25, 0.25, 0.25, c=0.5, f=0.0),  # not PSD
+        np.diag([0.5, 0.6, 0.0, 0.0]),  # trace 1.1
+        skewed,  # not Hermitian
+        np.diag([1.2, -0.1, 0.0, 0.0]),  # trace and PSD
+        x_state(0.25, 0.25, 0.25, c=0.25, f=0.25),
+    ]
+
+
+class TestStackedValidate:
+    @pytest.mark.parametrize("require_psd", [True, False])
+    def test_violations_listed_per_state(self, require_psd):
+        candidates = mixed_candidates()
+        stacked = state_violations(np.array(candidates), (2, 2), require_psd=require_psd)
+        assert stacked == [
+            state_violations(c, (2, 2), require_psd=require_psd) for c in candidates
+        ]
+
+    def test_stack_rejected_for_its_first_failing_state(self):
+        candidates = mixed_candidates()
+        for start in range(len(candidates) - 1):
+            rest = candidates[start:]
+            first_bad = next(c for c in rest if state_violations(c, (2, 2)))
+            with pytest.raises(ValidationError) as stacked:
+                validate(np.array(rest), (2, 2))
+            with pytest.raises(ValidationError) as single:
+                validate(first_bad, (2, 2))
+            assert type(stacked.value) is type(single.value)
+            assert str(stacked.value) == str(single.value)
+            assert stacked.value.violations == single.value.violations
+
+    def test_valid_stack_wraps_every_state(self):
+        states = [random_density((2, 3), seed=seed) for seed in range(5)]
+        stack = validate(np.array([s.matrix for s in states]), (2, 3))
+        assert stack.matrix.shape == (5, 6, 6)
+        assert stack.dim == 6
+        assert not stack.matrix.flags.writeable
+        assert all(np.array_equal(stack.matrix[i], s.matrix) for i, s in enumerate(states))
+
+    def test_stacked_blocks_are_the_blocks_of_each_state(self):
+        states = [random_density((2, 3), seed=seed) for seed in range(5)]
+        blocks = block_decompose(DensityMatrix(np.array([s.matrix for s in states]), (2, 3)))
+        assert np.array_equal(blocks.reassemble(), np.array([s.matrix for s in states]))
+        for i, state in enumerate(states):
+            single = block_decompose(state)
+            assert np.array_equal(blocks.p[i], single.p)
+            assert np.array_equal(blocks.q[i], single.q)
+            assert np.array_equal(blocks.r[i], single.r)
 
 
 class TestBlockDecompose:
