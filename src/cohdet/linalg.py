@@ -3,8 +3,8 @@
 Matrices are plain ``numpy.complex128`` arrays. Every function is pure and
 results never alias their arguments. Sizes are capped at ``MAX_DIMENSION``
 because everything downstream works with a handful of qubits and qudits.
-The kernels of the bipartite checks also take a stack ``(N, n, n)`` and
-return one value per matrix, with the bits of that matrix taken alone.
+Every kernel but the Kronecker product and the partial transpose also takes
+a stack ``(N, n, n)`` and gives each matrix the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -67,23 +67,23 @@ def tensor_product(a, b) -> np.ndarray:
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep``.
+    """Trace out every subsystem not listed in ``keep``, of one matrix or each of a stack.
 
     Parameters
     ----------
-    rho : square matrix over the full product space.
+    rho : square matrix over the full product space, or a stack ``(N, D, D)``.
     dims : subsystem dimensions, ordered as the tensor factors of ``rho``.
     keep : indices of the subsystems that survive; they keep their original
         relative order in the result.
     """
-    rho = as_matrix(rho)
+    rho = as_matrices(rho)
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ShapeError(f"subsystem dimensions must be positive, got {dims}")
     total = math.prod(dims)
-    if rho.shape != (total, total):
+    if rho.shape[-2:] != (total, total):
         raise ShapeError(
-            f"matrix is {rho.shape[0]}x{rho.shape[1]} but dims {dims} imply {total}x{total}"
+            f"matrix is {rho.shape[-2]}x{rho.shape[-1]} but dims {dims} imply {total}x{total}"
         )
     kept = sorted({int(k) for k in keep})
     if not kept:
@@ -92,21 +92,13 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
         raise ShapeError(f"keep indices {kept} out of range for {len(dims)} subsystems")
 
     n = len(dims)
-    tensor = rho.reshape(dims + dims)
-    row_labels = list(range(n))
-    col_labels = []
-    out_labels = []
-    nxt = n
-    for i in range(n):
-        if i in kept:
-            col_labels.append(nxt)
-            nxt += 1
-        else:
-            col_labels.append(i)  # same label as the row axis: traced out
-    out_labels = kept + [col_labels[i] for i in kept]
-    reduced = np.einsum(tensor, row_labels + col_labels, out_labels)
+    tensor = rho.reshape(rho.shape[:-2] + dims + dims)
+    # a traced-out column axis shares its row axis's label; a kept one gets a fresh label
+    col_labels = [n + kept.index(i) if i in kept else i for i in range(n)]
+    out_labels = kept + [n + j for j in range(len(kept))]
+    reduced = np.einsum(tensor, [..., *range(n), *col_labels], [..., *out_labels])
     d_keep = math.prod(dims[i] for i in kept)
-    return np.ascontiguousarray(reduced.reshape(d_keep, d_keep))
+    return np.ascontiguousarray(reduced.reshape(rho.shape[:-2] + (d_keep, d_keep)))
 
 
 def partial_transpose(rho, dims, subsystem="B") -> np.ndarray:
@@ -172,71 +164,92 @@ def _hermitian_part(m) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenvalues in ascending order plus solver diagnostics."""
+    """Eigenvalues in ascending order, ``(n,)`` or ``(N, n)`` for a stack, plus solver diagnostics.
+
+    For a stack, ``converged`` holds only if every matrix converged, and
+    ``sweeps_used`` is the largest count any matrix needed.
+    """
 
     eigenvalues: np.ndarray
     converged: bool
     sweeps_used: int
 
 
+def _off_mass(a: np.ndarray) -> np.ndarray:
+    total = np.sum(np.abs(a) ** 2, axis=(-2, -1))
+    return total - np.sum(np.abs(np.diagonal(a, axis1=-2, axis2=-1)) ** 2, axis=-1)
+
+
+def _jacobi_sweep(a: np.ndarray) -> np.ndarray:
+    """One cyclic sweep over every matrix of the stack ``a``, in place; which ones rotated."""
+    rotated = np.zeros(len(a), dtype=bool)
+    n = a.shape[-1]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            z = a[:, p, q]
+            # hypot is the scalar abs of a complex; the array abs loses bits against it
+            r = np.hypot(z.real, z.imag)
+            live = ~(r < 1e-300)
+            if not live.any():
+                continue
+            k = slice(None) if live.all() else np.flatnonzero(live)
+            z, r = z[k], r[k]
+            rotated[k] = True
+            phase = z / r
+            tau = (a[k, q, q].real - a[k, p, p].real) / (2.0 * r)
+            big = np.abs(tau) > 1e150
+            mild = np.where(big, 0.0, tau)  # tau*tau would overflow on the big ones
+            t = 1.0 / (np.abs(mild) + np.sqrt(1.0 + mild * mild))
+            t = np.where(tau < 0.0, -t, t)
+            if big.any():
+                t[big] = 0.5 / tau[big]  # asymptotic form
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            se = ((t * c) * phase)[:, None]
+            c = c[:, None]
+            col_p, col_q = a[k, :, p].copy(), a[k, :, q].copy()
+            a[k, :, p] = c * col_p - np.conj(se) * col_q
+            a[k, :, q] = se * col_p + c * col_q
+            row_p, row_q = a[k, p, :].copy(), a[k, q, :].copy()
+            a[k, p, :] = c * row_p - se * row_q
+            a[k, q, :] = np.conj(se) * row_p + c * row_q
+            a[k, p, q] = 0.0
+            a[k, q, p] = 0.0
+    return rotated
+
+
 def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS) -> EigenResult:
-    """All eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+    """All eigenvalues of a Hermitian matrix, or of each matrix in a stack, by cyclic Jacobi.
 
     Input is checked as in ``lambda_min``. Each sweep annihilates every
     off-diagonal pair once with a unitary 2x2 rotation (a phase to make the
-    pivot real, then a real Jacobi angle). The loop stops when the Frobenius
-    norm of the off-diagonal part drops below ``offdiag_tol``, or after a
-    sweep that found every off-diagonal entry below 1e-300 and so rotated
-    nothing; hitting ``max_sweeps`` first returns the current estimate with
-    ``converged=False``. Only the tripartite pair blocks still use it.
+    pivot real, then a real Jacobi angle). A matrix is done when the
+    Frobenius norm of its off-diagonal part drops below ``offdiag_tol``, or
+    after a sweep that found every off-diagonal entry below 1e-300 and so
+    rotated nothing; hitting ``max_sweeps`` first leaves the current
+    estimate with ``converged=False``. A stack is swept as one loop, each
+    matrix frozen once done, so every matrix gets the bits it gets alone.
+    Only the tripartite pair blocks still use it.
     """
     a = _hermitian_part(m)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a matrix, got an array of shape {a.shape}")
-    n = a.shape[0]
+    stack = a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:])
     threshold = float(offdiag_tol) ** 2
-
-    def off_mass() -> float:
-        return float(np.sum(np.abs(a) ** 2) - np.sum(np.abs(np.diag(a)) ** 2))
-
-    sweeps = 0
-    converged = off_mass() <= threshold
-    while not converged and sweeps < max_sweeps:
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(a[p, q])
-                if r < 1e-300:
-                    continue
-                rotated = True
-                phase = a[p, q] / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau  # asymptotic form; tau*tau would overflow
-                else:
-                    t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                    if tau < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                se = (t * c) * phase
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - np.conj(se) * col_q
-                a[:, q] = se * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - se * row_q
-                a[q, :] = np.conj(se) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        sweeps += 1
-        # off_mass() is a difference of two sums whose roundoff can exceed the
+    sweeps = np.zeros(len(stack), dtype=int)
+    converged = _off_mass(stack) <= threshold
+    active = np.flatnonzero(~converged)
+    while active.size and sweeps[active[0]] < max_sweeps:  # the active share one count
+        sub = stack[active]
+        rotated = _jacobi_sweep(sub)
+        stack[active] = sub
+        sweeps[active] += 1
+        # _off_mass is a difference of two sums whose roundoff can exceed the
         # threshold; a sweep with nothing to rotate has left a matrix that no
         # further sweep can change, so that is convergence too.
-        converged = not rotated or off_mass() <= threshold
-    eigenvalues = np.sort(np.diag(a).real)
+        settled = ~rotated | (_off_mass(sub) <= threshold)
+        converged[active] = settled
+        active = active[~settled]
+    eigenvalues = np.sort(stack.diagonal(0, 1, 2).real, axis=-1).reshape(a.shape[:-1])
     eigenvalues.setflags(write=False)
-    return EigenResult(eigenvalues, converged, sweeps)
+    return EigenResult(eigenvalues, bool(converged.all()), int(sweeps.max(initial=0)))
 
 
 def lambda_min(m):

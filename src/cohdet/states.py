@@ -157,18 +157,20 @@ def block_decompose(rho: DensityMatrix) -> BlockDecomposition:
 
 
 def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
-    """Reorder tensor factors: output factor k is input factor order[k]."""
+    """Reorder tensor factors: output factor k is input factor order[k]; a stack per matrix."""
     order = tuple(int(i) for i in order)
     n = len(rho.dims)
     if sorted(order) != list(range(n)):
         raise BadPermutationError(f"order {order} is not a permutation of 0..{n - 1}")
     dims = rho.dims
-    tensor = rho.matrix.reshape(dims + dims)
-    axes = order + tuple(n + i for i in order)
+    batch = rho.matrix.shape[:-2]
+    tensor = rho.matrix.reshape(batch + dims + dims)
+    b = len(batch)
+    axes = tuple(range(b)) + tuple(b + i for i in order) + tuple(b + n + i for i in order)
     permuted = np.ascontiguousarray(tensor.transpose(axes))
     new_dims = tuple(dims[i] for i in order)
     total = math.prod(new_dims)
-    return DensityMatrix(permuted.reshape(total, total), new_dims)
+    return DensityMatrix(permuted.reshape(batch + (total, total)), new_dims)
 
 
 def _normalize_dims(dims) -> tuple:

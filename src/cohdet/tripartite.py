@@ -11,13 +11,14 @@ reported entangled.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import linalg
 from .coherence import l1_coherence
-from .criteria import DETECTION_TOLERANCE, Verdict, _clamped_sqrt
+from .criteria import DETECTION_TOLERANCE, RADICAND_TOL, Verdict, _clamped_sqrt
 from .errors import NoQubitInPairError, ShapeError
 from .states import DensityMatrix, block_decompose, permute_subsystems, validate
 
@@ -26,8 +27,14 @@ LABELS = ("A", "B", "C")
 # Singling out one subsystem leaves the other two in cyclic order; the first
 # of the pair indexes the blocks when both are qubits.
 PAIRS = {"A": (1, 2), "B": (2, 0), "C": (0, 1)}
+PAIR_LABELS = {x: LABELS[iy] + LABELS[iz] for x, (iy, iz) in PAIRS.items()}
 
 WEIGHT_TOL = 1e-10
+
+# What each column of a term's (radicand, lambda_min P, lambda_min R) row is.
+_ROOT_NAMES = (
+    "pair block off-diagonal mass", "lambda_min of pair block P", "lambda_min of pair block R"
+)
 
 
 def _require_qubit_in_pair(dims: tuple, singled_out: str) -> None:
@@ -49,14 +56,15 @@ class TripartiteEnsemble:
     analysis downstream has nothing to decompose. ``require_psd=False``
     admits indefinite members (and mixture): some textbook constructions
     are written down entrywise and are not physical states, yet their
-    bound arithmetic is still well defined. The mixture is built and
-    certified once, at construction.
+    bound arithmetic is still well defined. The members are certified as
+    one stack and the mixture is built and certified once, at construction.
     """
 
     dims: tuple
     terms: tuple
     singled_out: str = "A"
     require_psd: bool = True
+    _stack: DensityMatrix = field(init=False, repr=False)
     _mixture: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -73,17 +81,21 @@ class TripartiteEnsemble:
                 raise ShapeError(f"term weights must lie in (0, 1], got {weight}")
             if not isinstance(state, DensityMatrix):
                 state = DensityMatrix(state, dims)
+            if state.matrix.ndim != 2:
+                shape = state.matrix.shape
+                raise ShapeError(f"each term must be one matrix, got an array of shape {shape}")
             if state.dims != dims:
                 raise ShapeError(f"term dims {state.dims} do not match ensemble dims {dims}")
-            validate(state.matrix, dims, require_psd=self.require_psd)
             terms.append((weight, state))
         if not terms:
             raise ShapeError("ensemble needs at least one term")
+        stack = validate(np.stack([s.matrix for _, s in terms]), dims, require_psd=self.require_psd)
         total = sum(w for w, _ in terms)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ShapeError(f"term weights sum to {total!r}, not 1")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "_stack", stack)
         acc = sum(w * s.matrix for w, s in terms)
         object.__setattr__(self, "_mixture", validate(acc, dims, require_psd=self.require_psd))
 
@@ -91,8 +103,7 @@ class TripartiteEnsemble:
         return self._mixture
 
     def pair_label(self) -> str:
-        iy, iz = PAIRS[self.singled_out]
-        return LABELS[iy] + LABELS[iz]
+        return PAIR_LABELS[self.singled_out]
 
 
 @dataclass(frozen=True)
@@ -138,7 +149,7 @@ class BipartitionSurvey:
 
 
 def _pair_state(state: DensityMatrix, singled_out: str) -> DensityMatrix:
-    """Reduce to the pair, order it cyclically, then put the qubit first."""
+    """Reduce to the pair, order it cyclically, then put the qubit first (per matrix of a stack)."""
     iy, iz = PAIRS[singled_out]
     kept = sorted((iy, iz))
     reduced = linalg.partial_trace(state.matrix, state.dims, keep=kept)
@@ -150,95 +161,104 @@ def _pair_state(state: DensityMatrix, singled_out: str) -> DensityMatrix:
     return pair
 
 
+def _clamped_roots(rows: np.ndarray) -> np.ndarray:
+    """Square roots of each term's (radicand, lambda_min P, lambda_min R) row, clamped at 0.
+
+    A value below the window raises for the first failing term, its radicand
+    before P before R, as evaluating the terms one by one would.
+    """
+    failing = np.flatnonzero((rows < -RADICAND_TOL).any(axis=1))
+    for value, what in zip(rows[failing[:1]].ravel().tolist(), _ROOT_NAMES):
+        _clamped_sqrt(value, what)
+    return np.sqrt(np.maximum(rows, 0.0))
+
+
+def _ceilings(ens: TripartiteEnsemble, labels) -> list:
+    """(rhs, TermBreakdowns) of the ensemble ceiling for each singled-out label.
+
+    All terms are handled as one stack, and the P and R blocks of every
+    label go through one Jacobi call per block order.
+    """
+    weights = np.array([w for w, _ in ens.terms])
+    parts, groups = [], {}
+    for label in labels:
+        single = linalg.partial_trace(ens._stack.matrix, ens.dims, keep=[LABELS.index(label)])
+        pair = _pair_state(ens._stack, label)
+        blocks = block_decompose(pair)
+        # abs(v) ** 2 is a scalar pow; an array square does not keep its bits
+        diag_sq = [float(sum(abs(v) ** 2 for v in row)) for row in pair.matrix.diagonal(0, 1, 2)]
+        norms = linalg.frobenius_norm_sq(blocks.p), linalg.frobenius_norm_sq(blocks.r)
+        d = blocks.p.shape[-1]
+        parts.append((d, l1_coherence(single), *norms, np.array(diag_sq)))
+        groups.setdefault(d, []).append(np.stack((blocks.p, blocks.r), axis=1))
+    # Jacobi, not lambda_min: the CLI golden pins these printed floats byte
+    # for byte; switch once CLI floats are compared within a tolerance.
+    lowest = {}
+    for d, pairs in groups.items():
+        spectra = linalg.hermitian_eigenvalues(np.concatenate(pairs).reshape(-1, d, d)).eigenvalues
+        lowest[d] = iter(np.split(spectra[:, 0].reshape(-1, 2), len(pairs)))
+    ceilings = []
+    for d, coherence_x, p_norm_sq, r_norm_sq, diag_sq in parts:
+        lam = next(lowest[d])
+        roots = _clamped_roots(np.column_stack((p_norm_sq + r_norm_sq - diag_sq, lam)))
+        prefactor = math.sqrt(2.0 * d * (d - 1))
+        ceiling = prefactor * (roots[:, 0] + roots[:, 1] * roots[:, 2])
+        summands = weights * (coherence_x + ceiling * (1.0 + coherence_x))
+        columns = np.column_stack((weights, coherence_x, p_norm_sq, r_norm_sq, diag_sq, lam))
+        breakdown = tuple(
+            TermBreakdown(w, cx, pn, rn, dq, lp, lr, prefactor, s)
+            for (w, cx, pn, rn, dq, lp, lr), s in zip(columns.tolist(), summands.tolist())
+        )
+        ceilings.append((float(sum(t.summand for t in breakdown)), breakdown))
+    return ceilings
+
+
 def ensemble_bound(ens: TripartiteEnsemble):
     """Weighted-sum ceiling on the mixture's coherence, with its breakdown.
 
     Returns (rhs, terms) where ``terms`` carries one TermBreakdown per
     ensemble member, sufficient to reproduce ``rhs`` independently.
     """
-    ix = LABELS.index(ens.singled_out)
-    breakdown = []
-    for weight, state in ens.terms:
-        single = linalg.partial_trace(state.matrix, state.dims, keep=[ix])
-        coherence_x = l1_coherence(single)
-        pair = _pair_state(state, ens.singled_out)
-        blocks = block_decompose(pair)
-        d = pair.dim // 2
-        diag_sq = float(sum(abs(v) ** 2 for v in pair.matrix.diagonal()))
-        p_norm_sq = linalg.frobenius_norm_sq(blocks.p)
-        r_norm_sq = linalg.frobenius_norm_sq(blocks.r)
-        # Jacobi, not lambda_min: the CLI golden pins these printed floats byte
-        # for byte; switch once CLI floats are compared within a tolerance.
-        lam_p = float(linalg.hermitian_eigenvalues(blocks.p).eigenvalues[0])
-        lam_r = float(linalg.hermitian_eigenvalues(blocks.r).eigenvalues[0])
-        prefactor = math.sqrt(2.0 * d * (d - 1))
-        ceiling = prefactor * (
-            _clamped_sqrt(p_norm_sq + r_norm_sq - diag_sq, "pair block off-diagonal mass")
-            + _clamped_sqrt(lam_p, "lambda_min of pair block P")
-            * _clamped_sqrt(lam_r, "lambda_min of pair block R")
-        )
-        summand = weight * (coherence_x + ceiling * (1.0 + coherence_x))
-        breakdown.append(
-            TermBreakdown(
-                weight=weight,
-                coherence_x=coherence_x,
-                p_norm_sq=p_norm_sq,
-                r_norm_sq=r_norm_sq,
-                diag_sq_sum=diag_sq,
-                lambda_min_p=lam_p,
-                lambda_min_r=lam_r,
-                prefactor=prefactor,
-                summand=summand,
-            )
-        )
-    rhs = float(sum(t.summand for t in breakdown))
-    return rhs, tuple(breakdown)
+    return _ceilings(ens, (ens.singled_out,))[0]
 
 
-def ensemble_bound_check(ens: TripartiteEnsemble) -> TripartiteReport:
-    """Compare the mixture's coherence against the ensemble ceiling."""
-    lhs = l1_coherence(ens.mixture())
-    rhs, breakdown = ensemble_bound(ens)
+def _report(singled_out: str, lhs: float, rhs: float, breakdown: tuple) -> TripartiteReport:
     margin = lhs - rhs
-    verdict = Verdict.ENTANGLED if margin > DETECTION_TOLERANCE else Verdict.INCONCLUSIVE
     return TripartiteReport(
         criterion="ensemble-bound",
-        singled_out=ens.singled_out,
-        pair=ens.pair_label(),
+        singled_out=singled_out,
+        pair=PAIR_LABELS[singled_out],
         lhs=float(lhs),
         rhs=rhs,
         margin=float(margin),
-        verdict=verdict,
+        verdict=Verdict.ENTANGLED if margin > DETECTION_TOLERANCE else Verdict.INCONCLUSIVE,
         tolerance=DETECTION_TOLERANCE,
         terms=breakdown,
     )
 
 
-def _relabelled(ens: TripartiteEnsemble, label: str) -> TripartiteEnsemble:
-    """The same certified ensemble with another party singled out.
-
-    Only the pair test depends on the label, so the terms and mixture are
-    shared rather than validated again; ``ens`` itself is left unchanged.
-    """
-    _require_qubit_in_pair(ens.dims, label)
-    probe = copy.copy(ens)
-    object.__setattr__(probe, "singled_out", label)
-    return probe
+def ensemble_bound_check(ens: TripartiteEnsemble) -> TripartiteReport:
+    """Compare the mixture's coherence against the ensemble ceiling."""
+    lhs = l1_coherence(ens.mixture())
+    return _report(ens.singled_out, lhs, *ensemble_bound(ens))
 
 
 def all_bipartitions_check(ens: TripartiteEnsemble) -> BipartitionSurvey:
     """Run the ensemble check for every subsystem that can be singled out.
 
     Choices whose leftover pair has no qubit are recorded as skips instead
-    of raising, so a survey always covers all three labels.
+    of raising, so a survey always covers all three labels. The admissible
+    labels share one ceiling computation and one mixture coherence.
     """
-    reports = []
+    labels = []
     skipped = []
     for label in LABELS:
         try:
-            probe = _relabelled(ens, label)
+            _require_qubit_in_pair(ens.dims, label)
         except NoQubitInPairError as exc:
             skipped.append((label, str(exc)))
             continue
-        reports.append(ensemble_bound_check(probe))
+        labels.append(label)
+    lhs = l1_coherence(ens.mixture())
+    reports = (_report(label, lhs, *c) for label, c in zip(labels, _ceilings(ens, labels)))
     return BipartitionSurvey(reports=tuple(reports), skipped=tuple(skipped))

@@ -260,6 +260,25 @@ class TestEnsembleCommand:
         assert [r["singled_out"] for r in doc["reports"]] == ["A", "B", "C"]
         assert doc["skipped"] == []
 
+    @pytest.mark.parametrize("case, flags", [
+        ("ensemble-text:bellmix_p05", ["--all-bipartitions"]),
+        ("ensemble-json:puremix_p05", ["--all-bipartitions"]),
+        ("ensemble-text:flagmix_p05", []),
+    ])
+    def test_fixture_output_matches_the_benchmark_golden(self, capsys, monkeypatch, case, flags):
+        fmt, name = case.removeprefix("ensemble-").split(":")
+        monkeypatch.chdir(CLI_GOLDEN.parents[2])  # the golden prints paths from the root
+        path = f"bench/inputs/{name}.json"
+        code, out, _ = run(capsys, "ensemble", "--file", path, "--format", fmt, *flags)
+        assert code == 0
+        assert out == json.loads(CLI_GOLDEN.read_text())[case]["stdout"]
+
+    def test_flagged_mixture_survey_fails_on_its_indefinite_block(self, fixtures_dir, capsys):
+        path = str(fixtures_dir / "flagmix_p05.json")
+        code, out, err = run(capsys, "ensemble", "--file", path, "--all-bipartitions")
+        assert (code, out) == (2, "")
+        assert err == "error: lambda_min of pair block P is -3.090e-01, beyond the -1e-10 window\n"
+
     @pytest.mark.parametrize(
         "doc, message",
         [

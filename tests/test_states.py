@@ -5,6 +5,7 @@ the projector by hand; the generator determinism values are pinned by the
 golden file under tests/data, recorded when the scheme was first fixed.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -223,6 +224,15 @@ class TestPermuteSubsystems:
             np.linalg.eigvalsh(state.matrix),
             atol=1e-10,
         )
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
+    def test_stack_is_permuted_per_matrix(self, dims):
+        stack = DensityMatrix(np.array([random_density(dims, seed=s).matrix for s in range(3)]), dims)
+        for order in itertools.permutations(range(3)):
+            got = permute_subsystems(stack, order)
+            alone = [permute_subsystems(DensityMatrix(m, dims), order) for m in stack.matrix]
+            assert got.dims == alone[0].dims
+            assert got.matrix.tobytes() == np.array([a.matrix for a in alone]).tobytes()
 
     def test_bad_orders_rejected(self):
         state = random_density((2, 2), seed=3)

@@ -16,12 +16,21 @@ import numpy as np
 import pytest
 
 from cohdet import linalg, tripartite
-from cohdet.errors import NoQubitInPairError, NotPositiveError, ShapeError
+from cohdet.coherence import l1_coherence
+from cohdet.criteria import _clamped_sqrt
+from cohdet.errors import NegativeRadicandError, NoQubitInPairError, NotPositiveError, ShapeError
 from cohdet.families import build_family
-from cohdet.linalg import tensor_product
-from cohdet.states import block_decompose, permute_subsystems, random_density, validate
+from cohdet.linalg import frobenius_norm_sq, hermitian_eigenvalues, partial_trace, tensor_product
+from cohdet.states import (
+    DensityMatrix,
+    block_decompose,
+    permute_subsystems,
+    random_density,
+    validate,
+)
 from cohdet.tripartite import (
     PAIRS,
+    TermBreakdown,
     TripartiteEnsemble,
     Verdict,
     all_bipartitions_check,
@@ -229,12 +238,45 @@ SURVEYED = {
     "bellmix": lambda: build_family("bellmix", p=0.3),
     "puremix": lambda: build_family("puremix", p=0.5),
     "random-222": lambda: random_product_ensemble((2, 2, 2), 3, seed=17),
+    # labels A and B leave a 2x3 pair, C a 2x2 one: two block orders; at this
+    # seed an array square instead of the scalar pow changes a diag_sq bit
+    "random-223": lambda: random_product_ensemble((2, 2, 3), 2, seed=75),
     "random-323": lambda: random_product_ensemble((3, 2, 3), 2, seed=23),
 }
 
 
+def per_term_ceiling(ens, label):
+    """The ceiling for one singled-out label, term by term and one matrix at a time."""
+    ix = "ABC".index(label)
+    terms = []
+    for weight, state in ens.terms:
+        coherence_x = l1_coherence(partial_trace(state.matrix, state.dims, keep=[ix]))
+        pair = tripartite._pair_state(state, label)
+        blocks = block_decompose(pair)
+        d = pair.dim // 2
+        diag_sq = float(sum(abs(v) ** 2 for v in pair.matrix.diagonal()))
+        p_norm_sq, r_norm_sq = frobenius_norm_sq(blocks.p), frobenius_norm_sq(blocks.r)
+        lam_p = float(hermitian_eigenvalues(blocks.p).eigenvalues[0])
+        lam_r = float(hermitian_eigenvalues(blocks.r).eigenvalues[0])
+        prefactor = math.sqrt(2.0 * d * (d - 1))
+        ceiling = prefactor * (
+            _clamped_sqrt(p_norm_sq + r_norm_sq - diag_sq, "radicand")
+            + _clamped_sqrt(lam_p, "P") * _clamped_sqrt(lam_r, "R")
+        )
+        summand = weight * (coherence_x + ceiling * (1.0 + coherence_x))
+        terms.append(TermBreakdown(
+            weight, coherence_x, p_norm_sq, r_norm_sq, diag_sq, lam_p, lam_r, prefactor, summand
+        ))
+    return float(sum(t.summand for t in terms)), tuple(terms)
+
+
+def exact(values):
+    """Each value as its type and hex form, so a signed zero or a last-bit change counts."""
+    return [(type(v), v.hex()) for v in values]
+
+
 class TestSharedSurvey:
-    """The survey certifies an ensemble once and relabels it per bipartition."""
+    """The survey reuses the ensemble certified at construction for every bipartition."""
 
     def test_survey_validates_nothing_again(self, monkeypatch):
         calls = []
@@ -246,9 +288,21 @@ class TestSharedSurvey:
 
         monkeypatch.setattr(tripartite, "validate", counting)
         ens = build_family("puremix", p=0.5)
-        assert len(ens.terms) == 2 and len(calls) == 3
+        assert len(ens.terms) == 2 and len(calls) == 2  # the term stack, then the mixture
         all_bipartitions_check(ens)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", sorted(SURVEYED))
+    def test_reports_match_the_per_term_recipe(self, name):
+        ens = SURVEYED[name]()
+        lhs = l1_coherence(ens.mixture())
+        for report in all_bipartitions_check(ens).reports:
+            rhs, terms = per_term_ceiling(ens, report.singled_out)
+            assert report.terms == terms
+            assert [exact(dataclasses.astuple(t)) for t in report.terms] == [
+                exact(dataclasses.astuple(t)) for t in terms
+            ]
+            assert exact((report.lhs, report.rhs, report.margin)) == exact((lhs, rhs, lhs - rhs))
 
     @pytest.mark.parametrize("name", sorted(SURVEYED))
     def test_reports_equal_freshly_built_ensembles(self, name):
@@ -272,40 +326,46 @@ class TestSharedSurvey:
         assert ens.singled_out == "A"
         assert ens.mixture() is mixture
 
-    @pytest.mark.parametrize("name, labels", [("puremix", "ABC"), ("random-323", "AC")])
-    def test_public_check_runs_once_per_admissible_label(self, monkeypatch, name, labels):
-        seen = []
-        real = tripartite.ensemble_bound_check
-
-        def recorder(ens):
-            seen.append(ens.singled_out)
-            return real(ens)
-
-        monkeypatch.setattr(tripartite, "ensemble_bound_check", recorder)
-        all_bipartitions_check(SURVEYED[name]())
-        assert seen == list(labels)
-
 
 class TestPairBlockEigenRoute:
-    """The pair-block lambda_min values come from the Jacobi solver."""
+    """The pair-block lambda_min values come from one stacked Jacobi call per block order."""
 
-    @pytest.mark.parametrize("name", sorted(SURVEYED))
-    def test_two_jacobi_calls_per_term_with_identical_values(self, monkeypatch, name):
-        ens = SURVEYED[name]()
+    @staticmethod
+    def recorded_calls(monkeypatch):
         calls = []
         real = linalg.hermitian_eigenvalues
 
         def recorder(m, *args, **kwargs):
-            calls.append(1)
+            calls.append(np.shape(m))
             return real(m, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "hermitian_eigenvalues", recorder)
-        _, terms = ensemble_bound(ens)
-        assert len(calls) == 2 * len(ens.terms)
+        return calls, real
+
+    @staticmethod
+    def assert_fresh_jacobi_values(ens, label, terms, solve):
         for term, (_, state) in zip(terms, ens.terms):
-            blocks = block_decompose(tripartite._pair_state(state, ens.singled_out))
-            assert term.lambda_min_p == real(blocks.p).eigenvalues[0]
-            assert term.lambda_min_r == real(blocks.r).eigenvalues[0]
+            blocks = block_decompose(tripartite._pair_state(state, label))
+            assert term.lambda_min_p == solve(blocks.p).eigenvalues[0]
+            assert term.lambda_min_r == solve(blocks.r).eigenvalues[0]
+
+    @pytest.mark.parametrize("name", sorted(SURVEYED))
+    def test_one_jacobi_call_per_bound_with_identical_values(self, monkeypatch, name):
+        ens = SURVEYED[name]()
+        calls, real = self.recorded_calls(monkeypatch)
+        _, terms = ensemble_bound(ens)
+        assert len(calls) == 1 and calls[0][0] == 2 * len(ens.terms)
+        self.assert_fresh_jacobi_values(ens, ens.singled_out, terms, real)
+
+    @pytest.mark.parametrize("name", sorted(SURVEYED))
+    def test_one_jacobi_call_per_block_order_per_survey(self, monkeypatch, name):
+        ens = SURVEYED[name]()
+        calls, real = self.recorded_calls(monkeypatch)
+        survey = all_bipartitions_check(ens)
+        assert len(calls) == (2 if ens.dims == (2, 2, 3) else 1)
+        assert sum(shape[0] for shape in calls) == 2 * len(ens.terms) * len(survey.reports)
+        for report in survey.reports:
+            self.assert_fresh_jacobi_values(ens, report.singled_out, report.terms, real)
 
 
 class TestEnsembleValidation:
@@ -347,6 +407,30 @@ class TestEnsembleValidation:
             dims=(2, 2, 2), terms=((1.0, term),), singled_out="A", require_psd=False
         )
         assert np.linalg.eigvalsh(waived.mixture().matrix)[0] < -1e-10
+
+    def test_stacked_term_rejected_with_its_shape(self):
+        stack = np.array([random_density((2, 2, 2), seed=s).matrix for s in range(3)])
+        for term in (stack, DensityMatrix(stack, (2, 2, 2))):
+            with pytest.raises(ShapeError, match=r"one matrix, got an array of shape \(3, 8, 8\)"):
+                TripartiteEnsemble(dims=(2, 2, 2), terms=((1.0, term),))
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("R", "P", r"pair block R is -2\.000e-01"),
+        ("P", "R", r"pair block P is -3\.000e-01"),
+    ])
+    def test_first_failing_term_names_the_root(self, first, second, message):
+        # Each term is |0><0| on A times a diagonal BC part whose P or R block
+        # is indefinite; the error comes from term 1, whichever block it is.
+        indefinite = {"R": [0.6, 0.5, -0.2, 0.1], "P": [-0.3, 0.5, 0.4, 0.4]}
+        terms = tuple(
+            (0.5, validate(tensor_product(KET_ZERO, np.diag(indefinite[block])),
+                           (2, 2, 2), require_psd=False))
+            for block in (first, second)
+        )
+        ens = TripartiteEnsemble(dims=(2, 2, 2), terms=terms, require_psd=False)
+        for check in (ensemble_bound_check, all_bipartitions_check):
+            with pytest.raises(NegativeRadicandError, match=message):
+                check(ens)
 
     def test_ensembles_are_frozen(self):
         ens = build_family("bellmix", p=0.5)
