@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -163,46 +164,12 @@ def read_ensemble(path) -> TripartiteEnsemble:
 # report rendering
 
 
-def _criterion_entry(report: crit.CriterionReport) -> dict:
-    entry = {
-        "criterion": report.criterion,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-        "verdict": report.verdict.value,
-        "tolerance": report.tolerance,
-    }
-    if report.notes:
-        entry["notes"] = list(report.notes)
+def _report_entry(report) -> dict:
+    """A report dataclass as its JSON object: the verdict by value, empty notes left out."""
+    entry = {**dataclasses.asdict(report), "verdict": report.verdict.value}
+    if entry.get("notes") == ():
+        del entry["notes"]
     return entry
-
-
-def _term_entry(t: tripartite.TermBreakdown) -> dict:
-    return {
-        "weight": t.weight,
-        "coherence_x": t.coherence_x,
-        "p_norm_sq": t.p_norm_sq,
-        "r_norm_sq": t.r_norm_sq,
-        "diag_sq_sum": t.diag_sq_sum,
-        "lambda_min_p": t.lambda_min_p,
-        "lambda_min_r": t.lambda_min_r,
-        "prefactor": t.prefactor,
-        "summand": t.summand,
-    }
-
-
-def _ensemble_entry(report: tripartite.TripartiteReport) -> dict:
-    return {
-        "criterion": report.criterion,
-        "singled_out": report.singled_out,
-        "pair": report.pair,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-        "verdict": report.verdict.value,
-        "tolerance": report.tolerance,
-        "terms": [_term_entry(t) for t in report.terms],
-    }
 
 
 def _fmt(value: float) -> str:
@@ -256,7 +223,7 @@ def _cmd_analyze(args) -> int:
         if reason is not None:
             entries.append({"criterion": name, "unsupported": reason})
         else:
-            entries.append(_criterion_entry(BIPARTITE_CHECKS[name](state)))
+            entries.append(_report_entry(BIPARTITE_CHECKS[name](state)))
     document = {"source": args.state, "dims": list(state.dims), "criteria": entries}
     if len(state.dims) == 2 and sorted(state.dims) in ([2, 2], [2, 3]):
         verdict = crit.ppt_check(state)
@@ -294,20 +261,14 @@ def _cmd_ensemble(args) -> int:
     ens = read_ensemble(args.file)
     if args.all_bipartitions:
         survey = tripartite.all_bipartitions_check(ens)
-        document = {
-            "source": args.file,
-            "dims": list(ens.dims),
-            "reports": [_ensemble_entry(r) for r in survey.reports],
-            "skipped": [{"singled_out": label, "reason": reason} for label, reason in survey.skipped],
-        }
     else:
-        report = tripartite.ensemble_bound_check(ens)
-        document = {
-            "source": args.file,
-            "dims": list(ens.dims),
-            "reports": [_ensemble_entry(report)],
-            "skipped": [],
-        }
+        survey = tripartite.BipartitionSurvey((tripartite.ensemble_bound_check(ens),), ())
+    document = {
+        "source": args.file,
+        "dims": list(ens.dims),
+        "reports": [_report_entry(r) for r in survey.reports],
+        "skipped": [{"singled_out": label, "reason": reason} for label, reason in survey.skipped],
+    }
     if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -516,10 +477,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,8 @@ with the qubit factor first, and returns a report carrying the two sides of
 its inequality, so callers can audit the margin instead of trusting a bare
 verdict. The PPT test lives here too, as an independent reference point: it
 diagonalizes the partial transpose, while the checks diagonalize the blocks
-P and R, and it is exact in 2x2 and 2x3.
+P and R, and it is exact in 2x2 and 2x3. The separable ceiling is written
+once, in ``_ceiling``, and the tripartite ensemble bound builds on it.
 
 The coherence-based checks are one-sided detectors: a firing report says
 entangled, a silent one says nothing. The block-spectrum check is the lone
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gellmann, linalg
+from . import linalg
 from .coherence import l1_coherence
 from .errors import NegativeRadicandError, ShapeError
 from .states import BlockDecomposition, DensityMatrix, block_decompose
@@ -112,13 +113,16 @@ def _diagonal_functional(rho: DensityMatrix) -> float:
 def _coherence_rhs(blocks: BlockDecomposition):
     """Diagonal-block functional the coherence detectors compare against.
 
-    Equals the off-diagonal mass of P+R plus twice Tr(PR); both terms are
-    real for Hermitian blocks up to roundoff, which is discarded.
+    The off-diagonal entries of P+R summed directly, plus twice Tr(PR); both
+    terms are real for Hermitian blocks up to roundoff, which is discarded.
+    The sum runs over the complex entries: summing their real parts alone
+    changes the last bit of some values.
     """
     p, r = blocks.p, blocks.r
-    coupling = linalg.trace_product(p + r, gellmann.symmetric_sum(p.shape[-1]))
-    cross = linalg.trace_product(p, r)
-    return coupling.real + 2.0 * cross.real
+    off = p + r
+    np.einsum("...ii->...i", off)[...] = 0.0  # a writable view of each diagonal
+    cross = linalg.trace_product(p, r).real
+    return linalg.item_or_array(off.sum(axis=(-2, -1)).real + 2.0 * cross)
 
 
 def qubit_coherence_check(rho: DensityMatrix) -> CriterionReport:
@@ -183,11 +187,28 @@ def block_spectrum_check(rho: DensityMatrix) -> CriterionReport:
     )
 
 
-def _clamped_sqrt(value, what: str):
-    worst = linalg.first_flagged(value, value < -RADICAND_TOL)
-    if worst is not None:
-        raise NegativeRadicandError(f"{what} is {worst:.3e}, beyond the -1e-10 window")
-    return linalg.item_or_array(np.sqrt(np.maximum(value, 0.0)))
+def _prefactor(d: int) -> float:
+    return math.sqrt(2.0 * d * (d - 1))
+
+
+def _ceiling(d: int, radicand, lam_p, lam_r, block: str):
+    """sqrt(2d(d-1)) (sqrt(radicand) + sqrt(lam_p) sqrt(lam_r)), for one state or a stack.
+
+    Each input clamps to zero inside [-RADICAND_TOL, 0]. Anything lower means
+    an invalid state slipped through: it raises for the first failing state,
+    naming its radicand before P before R, the blocks called ``block``.
+    """
+    values = (radicand, lam_p, lam_r)
+    low = (radicand < -RADICAND_TOL) | (lam_p < -RADICAND_TOL) | (lam_r < -RADICAND_TOL)
+    names = ("{} off-diagonal mass", "lambda_min of {} P", "lambda_min of {} R")
+    for value, what in zip(values, names):
+        value = linalg.first_flagged(value, low)  # its value in the first failing state
+        if value is not None and value < -RADICAND_TOL:
+            raise NegativeRadicandError(
+                f"{what.format(block)} is {value:.3e}, beyond the {-RADICAND_TOL:g} window"
+            )
+    roots = [np.sqrt(np.maximum(v, 0.0)) for v in values]
+    return linalg.item_or_array(_prefactor(d) * (roots[0] + roots[1] * roots[2]))
 
 
 def separable_bound(rho: DensityMatrix):
@@ -198,30 +219,25 @@ def separable_bound(rho: DensityMatrix):
 
     The radicand is the off-diagonal mass of P and R, so it is nonnegative
     up to roundoff; values inside [-1e-10, 0] clamp to zero and anything
-    lower raises, since it means an invalid state slipped through.
+    lower raises. The tripartite ensemble ceiling uses the same function.
     """
     blocks = _blocks(rho)
-    d = blocks.p.shape[-1]
     diag_sq = (np.abs(np.diagonal(rho.matrix, axis1=-2, axis2=-1)) ** 2).sum(axis=-1)
     radicand = (
         linalg.frobenius_norm_sq(blocks.p) + linalg.frobenius_norm_sq(blocks.r) - diag_sq
     )
-    lam_p = _clamped_sqrt(_lambda_min_p(rho), "lambda_min of block P")
-    lam_r = _clamped_sqrt(_lambda_min_r(rho), "lambda_min of block R")
-    prefactor = math.sqrt(2.0 * d * (d - 1))
-    return prefactor * (_clamped_sqrt(radicand, "block off-diagonal mass") + lam_p * lam_r)
+    return _ceiling(blocks.p.shape[-1], radicand, _lambda_min_p(rho), _lambda_min_r(rho), "block")
 
 
 def coherence_bound_check(rho: DensityMatrix) -> CriterionReport:
     """Detector that fires when coherence exceeds the separable ceiling."""
-    d = rho.dim // 2
     return _report(
         "coherence-bound",
         _coherence(rho),
         separable_bound(rho),
         fired=Verdict.ENTANGLED,
         quiet=Verdict.INCONCLUSIVE,
-        notes=(f"ceiling prefactor sqrt(2d(d-1)) = {math.sqrt(2.0 * d * (d - 1)):.12g}",),
+        notes=(f"ceiling prefactor sqrt(2d(d-1)) = {_prefactor(rho.dim // 2):.12g}",),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .coherence import l1_coherence
-from .criteria import DETECTION_TOLERANCE, RADICAND_TOL, Verdict, _clamped_sqrt
+from .criteria import DETECTION_TOLERANCE, Verdict, _ceiling, _prefactor
 from .errors import NoQubitInPairError, ShapeError
 from .states import DensityMatrix, block_decompose, permute_subsystems, validate
 
@@ -30,11 +30,6 @@ PAIRS = {"A": (1, 2), "B": (2, 0), "C": (0, 1)}
 PAIR_LABELS = {x: LABELS[iy] + LABELS[iz] for x, (iy, iz) in PAIRS.items()}
 
 WEIGHT_TOL = 1e-10
-
-# What each column of a term's (radicand, lambda_min P, lambda_min R) row is.
-_ROOT_NAMES = (
-    "pair block off-diagonal mass", "lambda_min of pair block P", "lambda_min of pair block R"
-)
 
 
 def _require_qubit_in_pair(dims: tuple, singled_out: str) -> None:
@@ -102,9 +97,6 @@ class TripartiteEnsemble:
     def mixture(self) -> DensityMatrix:
         return self._mixture
 
-    def pair_label(self) -> str:
-        return PAIR_LABELS[self.singled_out]
-
 
 @dataclass(frozen=True)
 class TermBreakdown:
@@ -161,18 +153,6 @@ def _pair_state(state: DensityMatrix, singled_out: str) -> DensityMatrix:
     return pair
 
 
-def _clamped_roots(rows: np.ndarray) -> np.ndarray:
-    """Square roots of each term's (radicand, lambda_min P, lambda_min R) row, clamped at 0.
-
-    A value below the window raises for the first failing term, its radicand
-    before P before R, as evaluating the terms one by one would.
-    """
-    failing = np.flatnonzero((rows < -RADICAND_TOL).any(axis=1))
-    for value, what in zip(rows[failing[:1]].ravel().tolist(), _ROOT_NAMES):
-        _clamped_sqrt(value, what)
-    return np.sqrt(np.maximum(rows, 0.0))
-
-
 def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     """(rhs, TermBreakdowns) of the ensemble ceiling for each singled-out label.
 
@@ -200,13 +180,11 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     ceilings = []
     for d, coherence_x, p_norm_sq, r_norm_sq, diag_sq in parts:
         lam = next(lowest[d])
-        roots = _clamped_roots(np.column_stack((p_norm_sq + r_norm_sq - diag_sq, lam)))
-        prefactor = math.sqrt(2.0 * d * (d - 1))
-        ceiling = prefactor * (roots[:, 0] + roots[:, 1] * roots[:, 2])
+        ceiling = _ceiling(d, p_norm_sq + r_norm_sq - diag_sq, lam[:, 0], lam[:, 1], "pair block")
         summands = weights * (coherence_x + ceiling * (1.0 + coherence_x))
         columns = np.column_stack((weights, coherence_x, p_norm_sq, r_norm_sq, diag_sq, lam))
         breakdown = tuple(
-            TermBreakdown(w, cx, pn, rn, dq, lp, lr, prefactor, s)
+            TermBreakdown(w, cx, pn, rn, dq, lp, lr, _prefactor(d), s)
             for (w, cx, pn, rn, dq, lp, lr), s in zip(columns.tolist(), summands.tolist())
         )
         ceilings.append((float(sum(t.summand for t in breakdown)), breakdown))

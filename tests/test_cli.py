@@ -264,12 +264,16 @@ class TestEnsembleCommand:
         ("ensemble-text:bellmix_p05", ["--all-bipartitions"]),
         ("ensemble-json:puremix_p05", ["--all-bipartitions"]),
         ("ensemble-text:flagmix_p05", []),
+        # the state fixtures' analyze output, in both formats
+        *((f"analyze-{fmt}:{name.removesuffix('.json')}", [])
+          for fmt in ("text", "json") for name in FIXTURE_NAMES),
     ])
     def test_fixture_output_matches_the_benchmark_golden(self, capsys, monkeypatch, case, flags):
-        fmt, name = case.removeprefix("ensemble-").split(":")
+        command, fmt, name = case.replace("-", ":", 1).split(":")
         monkeypatch.chdir(CLI_GOLDEN.parents[2])  # the golden prints paths from the root
+        source = "--file" if command == "ensemble" else "--state"
         path = f"bench/inputs/{name}.json"
-        code, out, _ = run(capsys, "ensemble", "--file", path, "--format", fmt, *flags)
+        code, out, _ = run(capsys, command, source, path, "--format", fmt, *flags)
         assert code == 0
         assert out == json.loads(CLI_GOLDEN.read_text())[case]["stdout"]
 

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cohdet import criteria, linalg
+from cohdet import criteria, gellmann, linalg
 from cohdet.criteria import (
     DETECTION_TOLERANCE,
     CriterionReport,
@@ -32,7 +32,7 @@ from cohdet.coherence import l1_coherence
 from cohdet.errors import NegativeRadicandError, QubitNotFirstError, ShapeError
 from cohdet.families import build_family
 from cohdet.linalg import tensor_product
-from cohdet.states import random_density, random_separable, validate
+from cohdet.states import block_decompose, random_density, random_separable, validate
 
 
 def bell_state(sign=1.0):
@@ -417,6 +417,34 @@ class TestStackedChecks:
         with pytest.raises(NegativeRadicandError) as single:
             separable_bound(validate(indefinite, (2, 2), require_psd=False))
         assert str(stacked.value) == str(single.value)
+
+    def test_radicand_failure_names_the_first_state_before_its_blocks(self):
+        # The first state fails on R, the second on P: the message is the first state's.
+        first = np.diag([0.6, 0.5, -0.2, 0.1]).astype(complex)
+        second = np.diag([-0.3, 0.5, 0.4, 0.4]).astype(complex)
+        stack = validate(np.array([first, second]), (2, 2), require_psd=False)
+        with pytest.raises(NegativeRadicandError) as stacked:
+            separable_bound(stack)
+        with pytest.raises(NegativeRadicandError) as single:
+            separable_bound(validate(first, (2, 2), require_psd=False))
+        assert str(stacked.value) == str(single.value)
+        assert str(single.value) == "lambda_min of block R is -2.000e-01, beyond the -1e-10 window"
+
+    @pytest.mark.parametrize("case", ["ginibre-2x2", "ginibre-2x3", "ginibre-2x4", "xstate24"])
+    def test_rhs_keeps_the_bits_of_the_symmetric_sum_trace(self, case):
+        stack, singles = STACKS[case]()
+        for state in (stack, *singles):
+            blocks = block_decompose(state)
+            p, r = blocks.p, blocks.r
+            trace_form = (
+                linalg.trace_product(p + r, gellmann.symmetric_sum(p.shape[-1])).real
+                + 2.0 * linalg.trace_product(p, r).real
+            )
+            direct = criteria._coherence_rhs(blocks)
+            assert type(direct) is type(trace_form)
+            assert [float(v).hex() for v in np.ravel(direct)] == [
+                float(v).hex() for v in np.ravel(trace_form)
+            ]
 
 
 class TestReportShape:

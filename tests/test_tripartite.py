@@ -17,7 +17,6 @@ import pytest
 
 from cohdet import linalg, tripartite
 from cohdet.coherence import l1_coherence
-from cohdet.criteria import _clamped_sqrt
 from cohdet.errors import NegativeRadicandError, NoQubitInPairError, NotPositiveError, ShapeError
 from cohdet.families import build_family
 from cohdet.linalg import frobenius_norm_sq, hermitian_eigenvalues, partial_trace, tensor_product
@@ -245,6 +244,13 @@ SURVEYED = {
 }
 
 
+def clamped_sqrt(x):
+    """sqrt(x), with x inside [-1e-10, 0] taken as zero and anything lower refused."""
+    if x < -1e-10:
+        raise NegativeRadicandError(f"{x:.3e} is below the -1e-10 window")
+    return math.sqrt(max(0.0, x))  # this order clamps -0.0 to 0.0, as np.maximum does
+
+
 def per_term_ceiling(ens, label):
     """The ceiling for one singled-out label, term by term and one matrix at a time."""
     ix = "ABC".index(label)
@@ -260,8 +266,8 @@ def per_term_ceiling(ens, label):
         lam_r = float(hermitian_eigenvalues(blocks.r).eigenvalues[0])
         prefactor = math.sqrt(2.0 * d * (d - 1))
         ceiling = prefactor * (
-            _clamped_sqrt(p_norm_sq + r_norm_sq - diag_sq, "radicand")
-            + _clamped_sqrt(lam_p, "P") * _clamped_sqrt(lam_r, "R")
+            clamped_sqrt(p_norm_sq + r_norm_sq - diag_sq)
+            + clamped_sqrt(lam_p) * clamped_sqrt(lam_r)
         )
         summand = weight * (coherence_x + ceiling * (1.0 + coherence_x))
         terms.append(TermBreakdown(
