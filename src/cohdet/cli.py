@@ -81,8 +81,7 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _dims_from(doc, path) -> tuple:
-    raw = doc["dims"]
+def _dims_from(raw, source) -> tuple:
     cap = linalg.MAX_DIMENSION
     # type(), not isinstance(): a JSON true must not pass as the int 1.
     if isinstance(raw, list) and all(
@@ -92,7 +91,7 @@ def _dims_from(doc, path) -> tuple:
         if math.prod(dims) <= cap:
             return dims
     raise ParseError(
-        f"{path}: dims must be a list of integers in 1..{cap} with a product of at most "
+        f"{source}: dims must be a list of integers in 1..{cap} with a product of at most "
         f"{cap}, got {raw!r}"
     )
 
@@ -113,7 +112,7 @@ def read_state(path) -> DensityMatrix:
     for key in ("dims", "matrix"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
-    return validate(_matrix_from_pairs(doc["matrix"]), _dims_from(doc, path))
+    return validate(_matrix_from_pairs(doc["matrix"]), _dims_from(doc["dims"], path))
 
 
 def read_ensemble(path) -> TripartiteEnsemble:
@@ -121,7 +120,7 @@ def read_ensemble(path) -> TripartiteEnsemble:
     for key in ("dims", "terms"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
-    dims = _dims_from(doc, path)
+    dims = _dims_from(doc["dims"], path)
     total = math.prod(dims)
     if not isinstance(doc["terms"], list):
         raise ParseError(f"{path}: terms must be a list, got {doc['terms']!r}")
@@ -379,12 +378,10 @@ def _cmd_ggm(args) -> int:
 
 def _parse_dims(raw: str) -> tuple:
     try:
-        dims = tuple(int(p) for p in raw.lower().split("x"))
+        dims = [int(p) for p in raw.lower().split("x")]
     except ValueError:
         raise ParseError(f"dims must look like 2x3 or 2x2x2, got {raw!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise ParseError(f"dims must be positive, got {raw!r}")
-    return dims
+    return _dims_from(dims, "--dims")
 
 
 def _cmd_random(args) -> int:

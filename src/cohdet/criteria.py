@@ -241,8 +241,8 @@ def coherence_bound_check(rho: DensityMatrix) -> CriterionReport:
     )
 
 
-def ppt_check(rho: DensityMatrix, subsystem="B") -> PptVerdict:
-    """Partial-transpose spectrum test over the named factor.
+def ppt_check(rho: DensityMatrix) -> PptVerdict:
+    """Partial-transpose spectrum test (the transpose is over the second factor).
 
     Kept deliberately independent of the detectors above: it diagonalizes
     the partial transpose, a different matrix from the blocks P and R the
@@ -250,6 +250,6 @@ def ppt_check(rho: DensityMatrix, subsystem="B") -> PptVerdict:
     """
     if len(rho.dims) != 2:
         raise ShapeError(f"PPT test needs exactly two subsystems, got dims {rho.dims}")
-    pt = linalg.partial_transpose(rho.matrix, rho.dims, subsystem=subsystem)
+    pt = linalg.partial_transpose(rho.matrix, rho.dims)
     smallest = float(np.linalg.eigvalsh(pt)[0])
     return PptVerdict(min_eigenvalue=smallest, is_ppt=smallest >= -PPT_TOL)

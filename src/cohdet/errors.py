@@ -69,5 +69,9 @@ class NegativeRadicandError(ValueError):
     """
 
 
+class NotConvergedError(ValueError):
+    """An iterative eigen solver stopped before reaching its tolerance."""
+
+
 class ParseError(ValueError):
     """A state, ensemble, or sweep description could not be parsed."""

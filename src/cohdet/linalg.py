@@ -73,8 +73,8 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     ----------
     rho : square matrix over the full product space, or a stack ``(N, D, D)``.
     dims : subsystem dimensions, ordered as the tensor factors of ``rho``.
-    keep : indices of the subsystems that survive; they keep their original
-        relative order in the result.
+    keep : distinct indices of the subsystems that survive, in the order their
+        factors take in the result; keeping every index reorders the factors.
     """
     rho = as_matrices(rho)
     dims = tuple(int(d) for d in dims)
@@ -85,10 +85,10 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
         raise ShapeError(
             f"matrix is {rho.shape[-2]}x{rho.shape[-1]} but dims {dims} imply {total}x{total}"
         )
-    kept = sorted({int(k) for k in keep})
-    if not kept:
-        raise ShapeError("keep must name at least one subsystem")
-    if kept[0] < 0 or kept[-1] >= len(dims):
+    kept = [int(k) for k in keep]
+    if not kept or len(set(kept)) != len(kept):
+        raise ShapeError(f"keep must name at least one subsystem, each once, got {kept}")
+    if min(kept) < 0 or max(kept) >= len(dims):
         raise ShapeError(f"keep indices {kept} out of range for {len(dims)} subsystems")
 
     n = len(dims)
@@ -101,10 +101,11 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return np.ascontiguousarray(reduced.reshape(rho.shape[:-2] + (d_keep, d_keep)))
 
 
-def partial_transpose(rho, dims, subsystem="B") -> np.ndarray:
-    """Transpose one tensor factor of a bipartite matrix.
+def partial_transpose(rho, dims) -> np.ndarray:
+    """Transpose the second tensor factor of a bipartite matrix.
 
-    ``subsystem`` is "A"/0 for the first factor or "B"/1 for the second.
+    Transposing the first factor instead gives the full transpose of this
+    result, so the spectrum, all a PPT test reads, is the same.
     """
     rho = as_matrix(rho)
     if len(dims) != 2:
@@ -114,13 +115,7 @@ def partial_transpose(rho, dims, subsystem="B") -> np.ndarray:
         raise ShapeError(
             f"matrix is {rho.shape[0]}x{rho.shape[1]} but dims ({da},{db}) imply {da * db}"
         )
-    if subsystem in ("A", 0):
-        axes = (2, 1, 0, 3)
-    elif subsystem in ("B", 1):
-        axes = (0, 3, 2, 1)
-    else:
-        raise ShapeError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    t = rho.reshape(da, db, da, db).transpose(axes)
+    t = rho.reshape(da, db, da, db).transpose(0, 3, 2, 1)
     return np.ascontiguousarray(t.reshape(da * db, da * db))
 
 

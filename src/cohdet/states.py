@@ -157,20 +157,13 @@ def block_decompose(rho: DensityMatrix) -> BlockDecomposition:
 
 
 def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
-    """Reorder tensor factors: output factor k is input factor order[k]; a stack per matrix."""
+    """Reorder factors by a partial trace keeping them all: output factor k is input order[k]."""
     order = tuple(int(i) for i in order)
     n = len(rho.dims)
     if sorted(order) != list(range(n)):
         raise BadPermutationError(f"order {order} is not a permutation of 0..{n - 1}")
-    dims = rho.dims
-    batch = rho.matrix.shape[:-2]
-    tensor = rho.matrix.reshape(batch + dims + dims)
-    b = len(batch)
-    axes = tuple(range(b)) + tuple(b + i for i in order) + tuple(b + n + i for i in order)
-    permuted = np.ascontiguousarray(tensor.transpose(axes))
-    new_dims = tuple(dims[i] for i in order)
-    total = math.prod(new_dims)
-    return DensityMatrix(permuted.reshape(batch + (total, total)), new_dims)
+    permuted = linalg.partial_trace(rho.matrix, rho.dims, keep=order)
+    return DensityMatrix(permuted, tuple(rho.dims[i] for i in order))
 
 
 def _normalize_dims(dims) -> tuple:

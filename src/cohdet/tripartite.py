@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg
 from .coherence import l1_coherence
 from .criteria import DETECTION_TOLERANCE, Verdict, _ceiling, _prefactor
-from .errors import NoQubitInPairError, ShapeError
-from .states import DensityMatrix, block_decompose, permute_subsystems, validate
+from .errors import NoQubitInPairError, NotConvergedError, ShapeError
+from .states import DensityMatrix, block_decompose, validate
 
 LABELS = ("A", "B", "C")
 
@@ -140,19 +140,6 @@ class BipartitionSurvey:
     skipped: tuple
 
 
-def _pair_state(state: DensityMatrix, singled_out: str) -> DensityMatrix:
-    """Reduce to the pair, order it cyclically, then put the qubit first (per matrix of a stack)."""
-    iy, iz = PAIRS[singled_out]
-    kept = sorted((iy, iz))
-    reduced = linalg.partial_trace(state.matrix, state.dims, keep=kept)
-    pair = DensityMatrix(reduced, (state.dims[kept[0]], state.dims[kept[1]]))
-    if kept != [iy, iz]:
-        pair = permute_subsystems(pair, (1, 0))
-    if pair.dims[0] != 2:
-        pair = permute_subsystems(pair, (1, 0))
-    return pair
-
-
 def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     """(rhs, TermBreakdowns) of the ensemble ceiling for each singled-out label.
 
@@ -163,7 +150,10 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     parts, groups = [], {}
     for label in labels:
         single = linalg.partial_trace(ens._stack.matrix, ens.dims, keep=[LABELS.index(label)])
-        pair = _pair_state(ens._stack, label)
+        # the pair in cyclic order with its qubit moved first; the sort is stable
+        order = sorted(PAIRS[label], key=lambda i: ens.dims[i] != 2)
+        reduced = linalg.partial_trace(ens._stack.matrix, ens.dims, keep=order)
+        pair = DensityMatrix(reduced, [ens.dims[i] for i in order])
         blocks = block_decompose(pair)
         # abs(v) ** 2 is a scalar pow; an array square does not keep its bits
         diag_sq = [float(sum(abs(v) ** 2 for v in row)) for row in pair.matrix.diagonal(0, 1, 2)]
@@ -175,8 +165,10 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     # for byte; switch once CLI floats are compared within a tolerance.
     lowest = {}
     for d, pairs in groups.items():
-        spectra = linalg.hermitian_eigenvalues(np.concatenate(pairs).reshape(-1, d, d)).eigenvalues
-        lowest[d] = iter(np.split(spectra[:, 0].reshape(-1, 2), len(pairs)))
+        solved = linalg.hermitian_eigenvalues(np.concatenate(pairs).reshape(-1, d, d))
+        if not solved.converged:
+            raise NotConvergedError(f"Jacobi solver did not converge on the {d}x{d} pair blocks")
+        lowest[d] = iter(np.split(solved.eigenvalues[:, 0].reshape(-1, 2), len(pairs)))
     ceilings = []
     for d, coherence_x, p_norm_sq, r_norm_sq, diag_sq in parts:
         lam = next(lowest[d])

@@ -517,6 +517,22 @@ class TestRandom:
         assert code == 0
         assert fresh.read_bytes() == golden_file.read_bytes()
 
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_separable_output_matches_the_benchmark_golden(
+        self, tmp_path, capsys, monkeypatch, seed
+    ):
+        golden = json.loads(CLI_GOLDEN.read_text())[f"random:{seed}"]
+        ((out_name, digest),) = golden["files"].items()
+        monkeypatch.chdir(tmp_path)
+        Path(out_name).parent.mkdir()
+        code, out, _ = run(
+            capsys, "random", "--kind", "separable", "--dims", "2x3", "--terms", "2",
+            "--seed", str(seed), "--out", out_name,
+        )
+        assert code == 0
+        assert out == golden["stdout"]
+        assert hashlib.sha256(Path(out_name).read_bytes()).hexdigest() == digest
+
     def test_separable_seed7_characterization(self, tmp_path, capsys):
         # The construction guarantees PPT; the three unsound detectors
         # still fire on this very seed, and the sound one stays quiet.
@@ -552,6 +568,12 @@ class TestRandom:
         code, _, _ = run(capsys, "random", "--kind", "generic", "--dims", "2x3",
                          "--seed", "1", "--out", "/no/such/dir/x.json")
         assert code == 2
+        # far above the cap, so a missing check fails at once on the allocation
+        code, _, err = run(capsys, "random", "--kind", "generic", "--dims", "3000x3000",
+                           "--seed", "1", "--out", never)
+        assert code == 2
+        assert err.startswith("error: --dims: dims must be a list of integers in 1..4096")
+        assert not Path(never).exists()
 
 
 class TestParser:

@@ -239,14 +239,6 @@ class TestPptCheck:
         assert verdict.min_eigenvalue == pytest.approx((1 - 3 * p) / 4, abs=1e-12)
         assert verdict.is_ppt == (p <= 1 / 3 + 1e-9)
 
-    def test_direction_of_transpose_does_not_matter(self):
-        state = random_density((2, 3), seed=6)
-        a_side = ppt_check(state, subsystem="A")
-        b_side = ppt_check(state, subsystem="B")
-        assert a_side.min_eigenvalue == pytest.approx(
-            b_side.min_eigenvalue, abs=1e-12
-        )
-
     def test_needs_bipartite_dims(self):
         with pytest.raises(ShapeError):
             ppt_check(random_density((2, 2, 2), seed=1))

@@ -6,6 +6,7 @@ cases or numpy's own primitives where those are not the unit under test.
 """
 
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -29,7 +30,7 @@ from cohdet.linalg import (
     tensor_product,
     trace_product,
 )
-from cohdet.states import block_decompose
+from cohdet.states import DensityMatrix, block_decompose, permute_subsystems
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET_PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
@@ -113,6 +114,36 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (2, 2), keep=())
         with pytest.raises(ShapeError):
             partial_trace(np.eye(4), (2, 2), keep=(2,))
+        with pytest.raises(ShapeError):
+            partial_trace(np.eye(4), (2, 2), keep=(1, 1))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
+    def test_keep_sets_the_output_order(self, dims):
+        def reorder(m, sub_dims, perm):
+            """Factor k of the result is factor perm[k] of m, by reshape and transpose."""
+            batch, k = m.shape[:-2], len(sub_dims)
+            tensor = m.reshape(batch + tuple(sub_dims) * 2)
+            b = len(batch)
+            axes = (*range(b), *(b + i for i in perm), *(b + k + i for i in perm))
+            total = math.prod(sub_dims)
+            return np.ascontiguousarray(tensor.transpose(axes).reshape(batch + (total, total)))
+
+        total = math.prod(dims)
+        rng = np.random.default_rng(total + 1)
+        stack = np.array([random_hermitian(rng, total) for _ in range(4)])
+        for m in (stack[0], stack):
+            for keep in itertools.chain(*(itertools.permutations(range(3), r) for r in (2, 3))):
+                kept = sorted(keep)
+                perm = [kept.index(i) for i in keep]
+                expected = reorder(partial_trace(m, dims, kept), [dims[i] for i in kept], perm)
+                assert partial_trace(m, dims, keep).tobytes() == expected.tobytes()
+        signed = stack.copy()
+        signed[:, ::2, 1::3] = -0.0
+        signed[:, 1::3, ::2] = complex(0.0, -0.0)
+        for order in itertools.permutations(range(3)):
+            got = permute_subsystems(DensityMatrix(signed, dims), order)
+            assert got.dims == tuple(dims[i] for i in order)
+            assert got.matrix.tobytes() == reorder(signed, dims, order).tobytes()
 
 
 class TestPartialTranspose:
@@ -121,35 +152,24 @@ class TestPartialTranspose:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = g @ g.conj().T
         rho = tensor_product(np.diag([0.3, 0.7]).astype(complex), b / np.trace(b))
-        pt = partial_transpose(rho, (2, 3), subsystem="B")
+        pt = partial_transpose(rho, (2, 3))
         assert np.linalg.eigvalsh(pt)[0] > -1e-12
 
     def test_bell_min_eigenvalue(self):
-        pt = partial_transpose(BELL_PLUS, (2, 2), subsystem="B")
+        pt = partial_transpose(BELL_PLUS, (2, 2))
         assert abs(np.linalg.eigvalsh(pt)[0] + 0.5) < 1e-12
 
     def test_involution_and_symmetry(self):
         rng = np.random.default_rng(8)
         rho = random_hermitian(rng, 6)
-        for sub in ("A", "B"):
-            pt = partial_transpose(rho, (2, 3), subsystem=sub)
-            assert np.array_equal(partial_transpose(pt, (2, 3), subsystem=sub), rho)
-            assert np.array_equal(pt, pt.conj().T)
-            assert np.trace(pt) == np.trace(rho)
-
-    def test_transposing_both_factors_is_full_transpose(self):
-        rng = np.random.default_rng(9)
-        rho = random_hermitian(rng, 6)
-        double = partial_transpose(
-            partial_transpose(rho, (2, 3), subsystem="A"), (2, 3), subsystem="B"
-        )
-        assert np.array_equal(double, rho.T)
+        pt = partial_transpose(rho, (2, 3))
+        assert np.array_equal(partial_transpose(pt, (2, 3)), rho)
+        assert np.array_equal(pt, pt.conj().T)
+        assert np.trace(pt) == np.trace(rho)
 
     def test_bad_dims(self):
         with pytest.raises(ShapeError):
             partial_transpose(np.eye(6), (2, 2))
-        with pytest.raises(ShapeError):
-            partial_transpose(np.eye(4), (2, 2), subsystem="C")
 
 
 class TestHermitianEigenvalues:

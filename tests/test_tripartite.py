@@ -17,7 +17,13 @@ import pytest
 
 from cohdet import linalg, tripartite
 from cohdet.coherence import l1_coherence
-from cohdet.errors import NegativeRadicandError, NoQubitInPairError, NotPositiveError, ShapeError
+from cohdet.errors import (
+    NegativeRadicandError,
+    NoQubitInPairError,
+    NotConvergedError,
+    NotPositiveError,
+    ShapeError,
+)
 from cohdet.families import build_family
 from cohdet.linalg import frobenius_norm_sq, hermitian_eigenvalues, partial_trace, tensor_product
 from cohdet.states import (
@@ -251,13 +257,27 @@ def clamped_sqrt(x):
     return math.sqrt(max(0.0, x))  # this order clamps -0.0 to 0.0, as np.maximum does
 
 
+def reference_pair(state, label):
+    """The pair left after singling out ``label``: traced in index order, swapped back to
+    cyclic order, then swapped again if that puts a qudit first."""
+    iy, iz = tripartite.PAIRS[label]
+    kept = sorted((iy, iz))
+    reduced = partial_trace(state.matrix, state.dims, keep=kept)
+    pair = DensityMatrix(reduced, (state.dims[kept[0]], state.dims[kept[1]]))
+    if kept != [iy, iz]:
+        pair = permute_subsystems(pair, (1, 0))
+    if pair.dims[0] != 2:
+        pair = permute_subsystems(pair, (1, 0))
+    return pair
+
+
 def per_term_ceiling(ens, label):
     """The ceiling for one singled-out label, term by term and one matrix at a time."""
     ix = "ABC".index(label)
     terms = []
     for weight, state in ens.terms:
         coherence_x = l1_coherence(partial_trace(state.matrix, state.dims, keep=[ix]))
-        pair = tripartite._pair_state(state, label)
+        pair = reference_pair(state, label)
         blocks = block_decompose(pair)
         d = pair.dim // 2
         diag_sq = float(sum(abs(v) ** 2 for v in pair.matrix.diagonal()))
@@ -351,7 +371,7 @@ class TestPairBlockEigenRoute:
     @staticmethod
     def assert_fresh_jacobi_values(ens, label, terms, solve):
         for term, (_, state) in zip(terms, ens.terms):
-            blocks = block_decompose(tripartite._pair_state(state, label))
+            blocks = block_decompose(reference_pair(state, label))
             assert term.lambda_min_p == solve(blocks.p).eigenvalues[0]
             assert term.lambda_min_r == solve(blocks.r).eigenvalues[0]
 
@@ -362,6 +382,18 @@ class TestPairBlockEigenRoute:
         _, terms = ensemble_bound(ens)
         assert len(calls) == 1 and calls[0][0] == 2 * len(ens.terms)
         self.assert_fresh_jacobi_values(ens, ens.singled_out, terms, real)
+
+    def test_an_unconverged_solve_is_refused(self, monkeypatch):
+        real = linalg.hermitian_eigenvalues
+
+        def capped(m, *args, **kwargs):
+            result = real(m, max_sweeps=0)
+            assert not result.converged  # puremix blocks have off-diagonal mass
+            return result
+
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", capped)
+        with pytest.raises(NotConvergedError, match="did not converge on the 2x2 pair blocks"):
+            all_bipartitions_check(build_family("puremix", p=0.5))
 
     @pytest.mark.parametrize("name", sorted(SURVEYED))
     def test_one_jacobi_call_per_block_order_per_survey(self, monkeypatch, name):
