@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .coherence import l1_coherence
 from .errors import NegativeRadicandError, ShapeError
-from .states import BlockDecomposition, DensityMatrix, block_decompose
+from .states import BlockDecomposition, DensityMatrix, block_decompose, partial_transpose
 
 DETECTION_TOLERANCE = 1e-10
 PPT_TOL = 1e-10
@@ -248,8 +248,6 @@ def ppt_check(rho: DensityMatrix) -> PptVerdict:
     the partial transpose, a different matrix from the blocks P and R the
     detectors diagonalize, so agreement between the two means something.
     """
-    if len(rho.dims) != 2:
-        raise ShapeError(f"PPT test needs exactly two subsystems, got dims {rho.dims}")
-    pt = linalg.partial_transpose(rho.matrix, rho.dims)
+    pt = partial_transpose(rho)
     smallest = float(np.linalg.eigvalsh(pt)[0])
     return PptVerdict(min_eigenvalue=smallest, is_ppt=smallest >= -PPT_TOL)

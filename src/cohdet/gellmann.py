@@ -16,6 +16,8 @@ import numpy as np
 from .errors import BadDimensionError
 
 DIAGONAL_COEFFICIENTS = ("rational", "orthonormal")
+# d^2 - 1 matrices of d x d entries: the cost grows like d^4
+MAX_BASIS_DIMENSION = 32
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -52,7 +54,7 @@ class GellMannBasis:
 
 
 def build_basis(dim: int, diagonal_coefficient: str = "rational") -> GellMannBasis:
-    """Construct the operator families for dimension ``dim`` (>= 2).
+    """Construct the operator families for dimension ``dim``, from 2 to 32.
 
     ``diagonal_coefficient`` selects the prefactor of the diagonal family:
 
@@ -63,8 +65,8 @@ def build_basis(dim: int, diagonal_coefficient: str = "rational") -> GellMannBas
 
     The off-diagonal families are identical under both choices.
     """
-    if dim < 2:
-        raise BadDimensionError(f"basis needs dimension >= 2, got {dim}")
+    if not 2 <= dim <= MAX_BASIS_DIMENSION:
+        raise BadDimensionError(f"basis needs dimension in 2..{MAX_BASIS_DIMENSION}, got {dim}")
     if diagonal_coefficient not in DIAGONAL_COEFFICIENTS:
         raise BadDimensionError(
             f"diagonal_coefficient must be one of {DIAGONAL_COEFFICIENTS}, got {diagonal_coefficient!r}"

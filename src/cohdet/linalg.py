@@ -3,8 +3,9 @@
 Matrices are plain ``numpy.complex128`` arrays. Every function is pure and
 results never alias their arguments. Sizes are capped at ``MAX_DIMENSION``
 because everything downstream works with a handful of qubits and qudits.
-Every kernel but the Kronecker product and the partial transpose also takes
-a stack ``(N, n, n)`` and gives each matrix the bits it gets alone.
+Every kernel but the Kronecker product also takes a stack ``(N, n, n)`` and
+gives each matrix the bits it gets alone. The partial trace and partial
+transpose act on a ``DensityMatrix`` and live in ``states``.
 """
 
 from __future__ import annotations
@@ -64,59 +65,6 @@ def tensor_product(a, b) -> np.ndarray:
             f"tensor product would be {rows}x{cols}, above the {MAX_DIMENSION} cap"
         )
     return np.kron(a, b)
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep``, of one matrix or each of a stack.
-
-    Parameters
-    ----------
-    rho : square matrix over the full product space, or a stack ``(N, D, D)``.
-    dims : subsystem dimensions, ordered as the tensor factors of ``rho``.
-    keep : distinct indices of the subsystems that survive, in the order their
-        factors take in the result; keeping every index reorders the factors.
-    """
-    rho = as_matrices(rho)
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ShapeError(f"subsystem dimensions must be positive, got {dims}")
-    total = math.prod(dims)
-    if rho.shape[-2:] != (total, total):
-        raise ShapeError(
-            f"matrix is {rho.shape[-2]}x{rho.shape[-1]} but dims {dims} imply {total}x{total}"
-        )
-    kept = [int(k) for k in keep]
-    if not kept or len(set(kept)) != len(kept):
-        raise ShapeError(f"keep must name at least one subsystem, each once, got {kept}")
-    if min(kept) < 0 or max(kept) >= len(dims):
-        raise ShapeError(f"keep indices {kept} out of range for {len(dims)} subsystems")
-
-    n = len(dims)
-    tensor = rho.reshape(rho.shape[:-2] + dims + dims)
-    # a traced-out column axis shares its row axis's label; a kept one gets a fresh label
-    col_labels = [n + kept.index(i) if i in kept else i for i in range(n)]
-    out_labels = kept + [n + j for j in range(len(kept))]
-    reduced = np.einsum(tensor, [..., *range(n), *col_labels], [..., *out_labels])
-    d_keep = math.prod(dims[i] for i in kept)
-    return np.ascontiguousarray(reduced.reshape(rho.shape[:-2] + (d_keep, d_keep)))
-
-
-def partial_transpose(rho, dims) -> np.ndarray:
-    """Transpose the second tensor factor of a bipartite matrix.
-
-    Transposing the first factor instead gives the full transpose of this
-    result, so the spectrum, all a PPT test reads, is the same.
-    """
-    rho = as_matrix(rho)
-    if len(dims) != 2:
-        raise ShapeError("partial transpose expects exactly two subsystem dimensions")
-    da, db = (int(d) for d in dims)
-    if da < 1 or db < 1 or rho.shape != (da * db, da * db):
-        raise ShapeError(
-            f"matrix is {rho.shape[0]}x{rho.shape[1]} but dims ({da},{db}) imply {da * db}"
-        )
-    t = rho.reshape(da, db, da, db).transpose(0, 3, 2, 1)
-    return np.ascontiguousarray(t.reshape(da * db, da * db))
 
 
 def frobenius_norm_sq(m):

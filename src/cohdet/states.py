@@ -1,4 +1,4 @@
-"""Density-matrix domain type, validation, block views, and random states.
+"""Density-matrix domain type, validation, subsystem operations, and random states.
 
 The computational product basis is fixed throughout: a ``DensityMatrix``
 carries the subsystem dimensions of its tensor factors in order, and no
@@ -34,6 +34,13 @@ PSD_TOL = 1e-10
 RNG_SCHEME = "pcg64-boxmuller-v1"
 
 
+def _positive_dims(dims) -> tuple:
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise ShapeError(f"subsystem dimensions must be positive, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A square complex matrix, or a stack ``(N, n, n)`` of them, with subsystem dimensions.
@@ -48,9 +55,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = linalg.as_matrices(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ShapeError(f"subsystem dimensions must be positive, got {dims}")
+        dims = _positive_dims(self.dims)
         if m.shape[-2:] != (math.prod(dims), math.prod(dims)):
             raise ShapeError(
                 f"matrix is {m.shape[-2]}x{m.shape[-1]} but dims {dims} imply {math.prod(dims)}"
@@ -156,23 +161,55 @@ def block_decompose(rho: DensityMatrix) -> BlockDecomposition:
     )
 
 
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every factor not listed in ``keep``, of one state or each of a stack.
+
+    ``keep`` lists distinct factor indices in the order their factors take in
+    the result; keeping every index reorders the factors.
+    """
+    m, dims, n = rho.matrix, rho.dims, len(rho.dims)
+    kept = [int(k) for k in keep]
+    if not kept or len(set(kept)) != len(kept):
+        raise ShapeError(f"keep must name at least one subsystem, each once, got {kept}")
+    if min(kept) < 0 or max(kept) >= n:
+        raise ShapeError(f"keep indices {kept} out of range for {n} subsystems")
+    tensor = m.reshape(m.shape[:-2] + dims + dims)
+    # a traced-out column axis shares its row axis's label; a kept one gets a fresh label
+    col_labels = [n + kept.index(i) if i in kept else i for i in range(n)]
+    out_labels = kept + [n + j for j in range(len(kept))]
+    reduced = np.einsum(tensor, [..., *range(n), *col_labels], [..., *out_labels])
+    d_keep = math.prod(dims[i] for i in kept)
+    reduced = np.ascontiguousarray(reduced.reshape(m.shape[:-2] + (d_keep, d_keep)))
+    return DensityMatrix(reduced, tuple(dims[i] for i in kept))
+
+
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Transpose the second tensor factor of one bipartite state.
+
+    Transposing the first factor instead gives the full transpose of this
+    result, so the spectrum, all a PPT test reads, is the same.
+    """
+    m = rho.matrix
+    if m.ndim != 2 or len(rho.dims) != 2:
+        raise ShapeError(f"partial transpose needs one bipartite matrix, got {m.shape} over {rho.dims}")
+    da, db = rho.dims
+    t = m.reshape(da, db, da, db).transpose(0, 3, 2, 1)
+    return np.ascontiguousarray(t.reshape(da * db, da * db))
+
+
 def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
     """Reorder factors by a partial trace keeping them all: output factor k is input order[k]."""
     order = tuple(int(i) for i in order)
     n = len(rho.dims)
     if sorted(order) != list(range(n)):
         raise BadPermutationError(f"order {order} is not a permutation of 0..{n - 1}")
-    permuted = linalg.partial_trace(rho.matrix, rho.dims, keep=order)
-    return DensityMatrix(permuted, tuple(rho.dims[i] for i in order))
+    return partial_trace(rho, order)
 
 
 def _normalize_dims(dims) -> tuple:
     if isinstance(dims, (int, np.integer)):
         dims = (int(dims),)
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ShapeError(f"subsystem dimensions must be positive, got {dims}")
-    return dims
+    return _positive_dims(dims)
 
 
 def _complex_gaussians(rng, rows: int, cols: int) -> np.ndarray:
@@ -221,8 +258,8 @@ def random_separable(dims, terms: int = 1, seed: int = 0, factor_rank=None) -> D
     if len(dims) < 2:
         raise ShapeError("separable states need at least two subsystems")
     terms = int(terms)
-    if terms < 1:
-        raise ShapeError(f"terms must be >= 1, got {terms}")
+    if not 1 <= terms <= linalg.MAX_DIMENSION:
+        raise ShapeError(f"terms must be in 1..{linalg.MAX_DIMENSION}, got {terms}")
     if factor_rank is not None:
         factor_rank = int(factor_rank)
         if not 1 <= factor_rank <= min(dims):

@@ -20,7 +20,7 @@ from . import linalg
 from .coherence import l1_coherence
 from .criteria import DETECTION_TOLERANCE, Verdict, _ceiling, _prefactor
 from .errors import NoQubitInPairError, NotConvergedError, ShapeError
-from .states import DensityMatrix, block_decompose, validate
+from .states import DensityMatrix, block_decompose, partial_trace, validate
 
 LABELS = ("A", "B", "C")
 
@@ -149,11 +149,9 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     weights = np.array([w for w, _ in ens.terms])
     parts, groups = [], {}
     for label in labels:
-        single = linalg.partial_trace(ens._stack.matrix, ens.dims, keep=[LABELS.index(label)])
+        single = partial_trace(ens._stack, [LABELS.index(label)])
         # the pair in cyclic order with its qubit moved first; the sort is stable
-        order = sorted(PAIRS[label], key=lambda i: ens.dims[i] != 2)
-        reduced = linalg.partial_trace(ens._stack.matrix, ens.dims, keep=order)
-        pair = DensityMatrix(reduced, [ens.dims[i] for i in order])
+        pair = partial_trace(ens._stack, sorted(PAIRS[label], key=lambda i: ens.dims[i] != 2))
         blocks = block_decompose(pair)
         # abs(v) ** 2 is a scalar pow; an array square does not keep its bits
         diag_sq = [float(sum(abs(v) ** 2 for v in row)) for row in pair.matrix.diagonal(0, 1, 2)]

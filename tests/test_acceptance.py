@@ -5,9 +5,12 @@ Criteria 6 and 7 are hard soundness properties of the detectors against
 the independent partial-transpose oracle; they are implemented exactly as
 stated and they FAIL, because three of the checks fire on provably
 separable states. The failure messages carry the measured counts and a
-concrete reproducible counterexample each; the decision record in the
-repository discusses why the defect is in the inequalities themselves,
-not in this implementation. Criterion 8 turns the same corpora into the
+concrete reproducible counterexample each; the decision record,
+docs/decisions/0001-criteria-6-7.md, discusses why the defect is in the
+inequalities themselves, not in this implementation. Two unnumbered
+tests back that record: a ledger that pins criterion 6's exact counts,
+so drift fails on its own, and an exact rational certificate of its two
+minimal counterexamples. Criterion 8 turns the same corpora into the
 empirical rate report. Criteria 9-10 cover the exact operator algebra
 and the numeric kernels.
 
@@ -22,6 +25,7 @@ PPT window -1e-10, detection margin 1e-10, exact-algebra assertions 0.
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,8 +45,8 @@ from cohdet.criteria import (
 )
 from cohdet.families import build_family
 from cohdet.gellmann import build_basis, symmetric_sum
-from cohdet.linalg import hermitian_eigenvalues, partial_trace, tensor_product
-from cohdet.states import DensityMatrix, random_density, random_separable
+from cohdet.linalg import hermitian_eigenvalues, tensor_product
+from cohdet.states import DensityMatrix, partial_trace, random_density, random_separable
 from cohdet.tripartite import TripartiteEnsemble, ensemble_bound_check
 
 GENERIC_BASES = {2: 60000, 3: 70000}
@@ -301,6 +305,125 @@ def seeded_product_ensemble(seed: int, terms: int) -> TripartiteEnsemble:
     return TripartiteEnsemble(dims=(2, 2, 2), terms=tuple(built), singled_out="A")
 
 
+# Criterion 6's known-red counts, pinned exactly: PPT states per corpus, and
+# flags on them per detector and corpus (totals 386, 0 and 375 of 387).
+# docs/decisions/0001-criteria-6-7.md records why they stay red.
+CRITERION_06_LEDGER = {
+    "ppt": {2: 357, 3: 30},
+    "flags": {
+        "coherence-bound": {2: 356, 3: 30},
+        "block-trace": {2: 0, 3: 0},
+        "block-spectrum": {2: 345, 3: 30},
+    },
+}
+
+
+def test_known_red_ledger_of_criterion_06(generic_corpora):
+    """Criterion 6 fails by design; its counts must still not drift.
+
+    Any change in a count fails here on its own instead of hiding behind
+    criterion 6's standing failure. block-trace, the proven detector, must
+    stay at zero.
+    """
+    ppt = {}
+    flags = {name: {} for name in CRITERION_06_LEDGER["flags"]}
+    for d, records in sorted(generic_corpora.items()):
+        ppt_reports = [reports for _, reports, oracle in records if oracle.is_ppt]
+        ppt[d] = len(ppt_reports)
+        for name, per_corpus in flags.items():
+            per_corpus[d] = sum(r[name].verdict is Verdict.ENTANGLED for r in ppt_reports)
+    assert ppt == CRITERION_06_LEDGER["ppt"]
+    assert flags == CRITERION_06_LEDGER["flags"]
+
+
+def exact_sqrt(q: Fraction) -> Fraction:
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    assert root * root == q, f"{q} is not the square of a rational"
+    return root
+
+
+def exact_kron(a, b):
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def exact_lambda_min_2x2(m):
+    (a, b), (c, d) = m
+    assert b == c, "real symmetric blocks only"
+    return (a + d) / 2 - exact_sqrt(((a - d) / 2) ** 2 + b * b)
+
+
+def exact_2x2_certificate(m):
+    """Both sides of coherence-bound, block-spectrum and block-trace on a real 2x2 state."""
+    p = [row[:2] for row in m[:2]]
+    q = [row[2:] for row in m[:2]]
+    r = [row[2:] for row in m[2:]]
+
+    def mass(block):
+        return sum(x * x for row in block for x in row)
+
+    lam_p, lam_r = exact_lambda_min_2x2(p), exact_lambda_min_2x2(r)
+    radicand = mass(p) + mass(r) - sum(m[i][i] ** 2 for i in range(4))
+    return {
+        "coherence": sum(abs(x) for i, row in enumerate(m) for j, x in enumerate(row) if i != j),
+        # sqrt(2d(d-1)) = 2 at d = 2
+        "ceiling": 2 * (exact_sqrt(radicand) + exact_sqrt(lam_p * lam_r)),
+        "coupling_mass": mass(q),
+        "lambda_product": lam_p * lam_r,
+        "trace_pr": sum(p[i][j] * r[j][i] for i in range(2) for j in range(2)),
+    }
+
+
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+PLUS = [[HALF, HALF], [HALF, HALF]]
+MINUS = [[HALF, -HALF], [-HALF, HALF]]
+MIXED = [[HALF, 0], [0, HALF]]
+BALANCED_X = [[QUARTER if i == j or i + j == 3 else 0 for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize(
+    "matrix, products",
+    [
+        (exact_kron(PLUS, MIXED), [(1, PLUS, MIXED)]),
+        (BALANCED_X, [(HALF, PLUS, PLUS), (HALF, MINUS, MINUS)]),
+    ],
+    ids=["plus-times-mixed", "balanced-x-state"],
+)
+def test_decision_record_certificate(matrix, products):
+    """The separable counterexamples of the decision record, in exact arithmetic.
+
+    Each state is checked to be its stated mix of product states, so it is
+    separable. Both have P = R = I/4. Exactly: coherence 1 above the
+    ceiling 2 (0 + 1/4) = 1/2, and coupling mass 1/8 above
+    lambda_min(P) lambda_min(R) = 1/16, while block-trace ties at
+    Tr(PR) = 1/8 and stays quiet. So the misfire is in the inequalities,
+    not in roundoff; the float checks reach the same verdicts.
+    """
+    mix = [[0] * 4 for _ in range(4)]
+    for weight, a, b in products:
+        for i, row in enumerate(exact_kron(a, b)):
+            mix[i] = [x + weight * y for x, y in zip(mix[i], row)]
+    assert mix == matrix
+    assert exact_2x2_certificate(matrix) == {
+        "coherence": 1,
+        "ceiling": HALF,
+        "coupling_mass": Fraction(1, 8),
+        "lambda_product": Fraction(1, 16),
+        "trace_pr": Fraction(1, 8),
+    }
+
+    state = DensityMatrix(np.array(matrix, dtype=float), (2, 2))
+    bound = coherence_bound_check(state)
+    spectrum = block_spectrum_check(state)
+    trace = block_trace_check(state)
+    assert bound.verdict is Verdict.ENTANGLED
+    assert spectrum.verdict is Verdict.ENTANGLED
+    assert trace.verdict is Verdict.INCONCLUSIVE
+    assert ppt_check(state).is_ppt
+    assert (bound.lhs, bound.rhs) == pytest.approx((1.0, 0.5), abs=1e-12)
+    assert (spectrum.lhs, spectrum.rhs) == pytest.approx((1 / 8, 1 / 16), abs=1e-12)
+    assert (trace.lhs, trace.rhs) == pytest.approx((1 / 8, 1 / 8), abs=1e-12)
+
+
 def test_criterion_08_detection_rate_report(generic_corpora):
     corpora_doc = {}
     for d, records in sorted(generic_corpora.items()):
@@ -436,8 +559,8 @@ def test_criterion_10_kernel_checks():
     amplitudes = np.zeros(8, dtype=complex)
     amplitudes[[0, 4, 6]] = 1 / math.sqrt(5)
     amplitudes[7] = math.sqrt(2) / math.sqrt(5)
-    projector = np.outer(amplitudes, amplitudes.conj())
-    reduced = partial_trace(projector, (2, 2, 2), keep=(1, 2))
+    projector = DensityMatrix(np.outer(amplitudes, amplitudes.conj()), (2, 2, 2))
+    reduced = partial_trace(projector, keep=(1, 2)).matrix
     expected = np.zeros((4, 4), dtype=complex)
     np.fill_diagonal(expected, [2 / 5, 0.0, 1 / 5, 2 / 5])
     expected[0, 2] = expected[2, 0] = 1 / 5
@@ -446,7 +569,7 @@ def test_criterion_10_kernel_checks():
     pair_err = float(np.max(np.abs(reduced - expected)))
     if pair_err > 1e-12:
         problems.append(f"pair marginal error {pair_err:.2e}")
-    marginal = partial_trace(projector, (2, 2, 2), keep=(0,))
+    marginal = partial_trace(projector, keep=(0,))
     if abs(l1_coherence(marginal) - 2 / 5) > 1e-12:
         problems.append("qubit marginal coherence")
 

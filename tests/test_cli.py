@@ -474,6 +474,15 @@ class TestGgm:
         assert code == 2
         assert "dim" in err
 
+    @pytest.mark.parametrize("dim", ["33", "1000000"])
+    def test_dimension_above_the_cap_writes_no_file(self, tmp_path, capsys, dim):
+        never = tmp_path / "never.json"
+        code, _, err = run(capsys, "ggm", "--dim", dim, "--out", str(never))
+        assert code == 2
+        assert err.startswith("error: basis needs dimension in 2..32")
+        assert "Traceback" not in err
+        assert not never.exists()
+
 
 class TestRandom:
     def test_same_seed_same_bytes(self, tmp_path, capsys):
@@ -574,6 +583,14 @@ class TestRandom:
         assert code == 2
         assert err.startswith("error: --dims: dims must be a list of integers in 1..4096")
         assert not Path(never).exists()
+        # 10**12 terms would ask for a 7 TiB weight vector before the first draw
+        for terms in ("4097", str(10**12)):
+            code, _, err = run(capsys, "random", "--kind", "separable", "--dims", "2x2",
+                               "--terms", terms, "--seed", "1", "--out", never)
+            assert code == 2
+            assert err.startswith("error: terms must be in 1..4096")
+            assert "Traceback" not in err
+            assert not Path(never).exists()
 
 
 class TestParser:

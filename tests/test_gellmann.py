@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cohdet.errors import BadDimensionError
-from cohdet.gellmann import DIAGONAL_COEFFICIENTS, build_basis, symmetric_sum
+from cohdet.gellmann import DIAGONAL_COEFFICIENTS, MAX_BASIS_DIMENSION, build_basis, symmetric_sum
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -159,3 +159,9 @@ def test_dimension_below_two_rejected():
         build_basis(1)
     with pytest.raises(BadDimensionError):
         symmetric_sum(1)
+
+
+def test_dimension_above_the_cap_rejected():
+    assert len(build_basis(MAX_BASIS_DIMENSION).diagonal) == MAX_BASIS_DIMENSION - 1
+    with pytest.raises(BadDimensionError, match="2..32"):
+        build_basis(MAX_BASIS_DIMENSION + 1)

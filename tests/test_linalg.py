@@ -25,12 +25,16 @@ from cohdet.linalg import (
     frobenius_norm_sq,
     hermitian_eigenvalues,
     lambda_min,
-    partial_trace,
-    partial_transpose,
     tensor_product,
     trace_product,
 )
-from cohdet.states import DensityMatrix, block_decompose, permute_subsystems
+from cohdet.states import (
+    DensityMatrix,
+    block_decompose,
+    partial_trace,
+    partial_transpose,
+    permute_subsystems,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 KET_PLUS_STATE = np.full((2, 2), 0.5, dtype=complex)
@@ -88,14 +92,15 @@ class TestTensorProduct:
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
-        reduced = partial_trace(BELL_PLUS, (2, 2), keep=(1,))
-        np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-15)
+        reduced = partial_trace(DensityMatrix(BELL_PLUS, (2, 2)), keep=(1,))
+        assert reduced.dims == (2,)
+        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-15)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(5)
         rho = random_hermitian(rng, 12)
         for keep in ((0,), (1,), (0, 1), (1, 2), (0, 2)):
-            reduced = partial_trace(rho, (2, 2, 3), keep=keep)
+            reduced = partial_trace(DensityMatrix(rho, (2, 2, 3)), keep=keep).matrix
             assert abs(np.trace(reduced) - np.trace(rho)) < 1e-12
 
     def test_product_state_factor_recovery(self):
@@ -104,18 +109,23 @@ class TestPartialTrace:
         b = random_hermitian(rng, 3)
         big = tensor_product(a, b)
         np.testing.assert_allclose(
-            partial_trace(big, (2, 3), keep=(0,)), a * np.trace(b), atol=1e-10
+            partial_trace(DensityMatrix(big, (2, 3)), keep=(0,)).matrix,
+            a * np.trace(b),
+            atol=1e-10,
         )
 
     def test_dims_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            partial_trace(np.eye(6), (2, 2), keep=(0,))
+            DensityMatrix(np.eye(6), (2, 2))
+        rho = DensityMatrix(np.eye(4), (2, 2))
         with pytest.raises(ShapeError):
-            partial_trace(np.eye(4), (2, 2), keep=())
+            partial_trace(rho, keep=())
         with pytest.raises(ShapeError):
-            partial_trace(np.eye(4), (2, 2), keep=(2,))
+            partial_trace(rho, keep=(2,))
         with pytest.raises(ShapeError):
-            partial_trace(np.eye(4), (2, 2), keep=(1, 1))
+            partial_trace(rho, keep=(-1,))
+        with pytest.raises(ShapeError):
+            partial_trace(rho, keep=(1, 1))
 
     @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
     def test_keep_sets_the_output_order(self, dims):
@@ -132,11 +142,15 @@ class TestPartialTrace:
         rng = np.random.default_rng(total + 1)
         stack = np.array([random_hermitian(rng, total) for _ in range(4)])
         for m in (stack[0], stack):
+            rho = DensityMatrix(m, dims)
             for keep in itertools.chain(*(itertools.permutations(range(3), r) for r in (2, 3))):
                 kept = sorted(keep)
                 perm = [kept.index(i) for i in keep]
-                expected = reorder(partial_trace(m, dims, kept), [dims[i] for i in kept], perm)
-                assert partial_trace(m, dims, keep).tobytes() == expected.tobytes()
+                sorted_trace = partial_trace(rho, kept).matrix
+                expected = reorder(sorted_trace, [dims[i] for i in kept], perm)
+                got = partial_trace(rho, keep)
+                assert got.dims == tuple(dims[i] for i in keep)
+                assert got.matrix.tobytes() == expected.tobytes()
         signed = stack.copy()
         signed[:, ::2, 1::3] = -0.0
         signed[:, 1::3, ::2] = complex(0.0, -0.0)
@@ -152,24 +166,30 @@ class TestPartialTranspose:
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = g @ g.conj().T
         rho = tensor_product(np.diag([0.3, 0.7]).astype(complex), b / np.trace(b))
-        pt = partial_transpose(rho, (2, 3))
+        pt = partial_transpose(DensityMatrix(rho, (2, 3)))
         assert np.linalg.eigvalsh(pt)[0] > -1e-12
 
     def test_bell_min_eigenvalue(self):
-        pt = partial_transpose(BELL_PLUS, (2, 2))
+        pt = partial_transpose(DensityMatrix(BELL_PLUS, (2, 2)))
         assert abs(np.linalg.eigvalsh(pt)[0] + 0.5) < 1e-12
 
     def test_involution_and_symmetry(self):
         rng = np.random.default_rng(8)
         rho = random_hermitian(rng, 6)
-        pt = partial_transpose(rho, (2, 3))
-        assert np.array_equal(partial_transpose(pt, (2, 3)), rho)
+        pt = partial_transpose(DensityMatrix(rho, (2, 3)))
+        assert np.array_equal(partial_transpose(DensityMatrix(pt, (2, 3))), rho)
         assert np.array_equal(pt, pt.conj().T)
         assert np.trace(pt) == np.trace(rho)
 
     def test_bad_dims(self):
         with pytest.raises(ShapeError):
-            partial_transpose(np.eye(6), (2, 2))
+            DensityMatrix(np.eye(6), (2, 2))
+        with pytest.raises(ShapeError):
+            partial_transpose(DensityMatrix(np.eye(8), (2, 2, 2)))
+        with pytest.raises(ShapeError):
+            partial_transpose(DensityMatrix(np.eye(6), (6,)))
+        with pytest.raises(ShapeError):
+            partial_transpose(DensityMatrix(np.stack([np.eye(6)] * 2), (2, 3)))
 
 
 class TestHermitianEigenvalues:
@@ -375,8 +395,9 @@ class TestStacks:
             rng = np.random.default_rng(total)
             stack = np.array([random_hermitian(rng, total) for _ in range(4)])
             for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
-                got = partial_trace(stack, dims, keep)
-                assert same_bits(got, [partial_trace(m, dims, keep) for m in stack])
+                got = partial_trace(DensityMatrix(stack, dims), keep).matrix
+                alone = [partial_trace(DensityMatrix(m, dims), keep).matrix for m in stack]
+                assert same_bits(got, alone)
 
 
 class TestNorms:

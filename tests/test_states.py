@@ -22,7 +22,7 @@ from cohdet.errors import (
     ShapeError,
     ValidationError,
 )
-from cohdet.linalg import tensor_product
+from cohdet.linalg import MAX_DIMENSION, tensor_product
 from cohdet.states import (
     RNG_SCHEME,
     DensityMatrix,
@@ -278,6 +278,13 @@ class TestRandomDensity:
     def test_scalar_dim_and_dims_tuple_agree(self):
         assert random_density(6, seed=4).dims == (6,)
         assert random_density((2, 3), seed=4).dims == (2, 3)
+        with pytest.raises(TypeError):
+            DensityMatrix(np.eye(6) / 6, 6)  # only the generators take a bare dimension
+        for dims in (0, (2, 0)):
+            with pytest.raises(ShapeError, match="must be positive"):
+                random_density(dims, seed=4)
+            with pytest.raises(ShapeError, match="must be positive"):
+                DensityMatrix(np.eye(1), np.atleast_1d(dims))
 
 
 class TestRandomSeparable:
@@ -308,8 +315,9 @@ class TestRandomSeparable:
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_parameter_validation(self):
-        with pytest.raises(ShapeError):
-            random_separable((2, 3), terms=0)
+        for terms in (0, MAX_DIMENSION + 1):
+            with pytest.raises(ShapeError):
+                random_separable((2, 3), terms=terms)
         with pytest.raises(BadRankError):
             random_separable((2, 3), factor_rank=3)
         with pytest.raises(BadRankError):

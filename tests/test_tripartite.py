@@ -25,10 +25,11 @@ from cohdet.errors import (
     ShapeError,
 )
 from cohdet.families import build_family
-from cohdet.linalg import frobenius_norm_sq, hermitian_eigenvalues, partial_trace, tensor_product
+from cohdet.linalg import frobenius_norm_sq, hermitian_eigenvalues, tensor_product
 from cohdet.states import (
     DensityMatrix,
     block_decompose,
+    partial_trace,
     permute_subsystems,
     random_density,
     validate,
@@ -262,8 +263,7 @@ def reference_pair(state, label):
     cyclic order, then swapped again if that puts a qudit first."""
     iy, iz = tripartite.PAIRS[label]
     kept = sorted((iy, iz))
-    reduced = partial_trace(state.matrix, state.dims, keep=kept)
-    pair = DensityMatrix(reduced, (state.dims[kept[0]], state.dims[kept[1]]))
+    pair = partial_trace(state, keep=kept)
     if kept != [iy, iz]:
         pair = permute_subsystems(pair, (1, 0))
     if pair.dims[0] != 2:
@@ -276,7 +276,7 @@ def per_term_ceiling(ens, label):
     ix = "ABC".index(label)
     terms = []
     for weight, state in ens.terms:
-        coherence_x = l1_coherence(partial_trace(state.matrix, state.dims, keep=[ix]))
+        coherence_x = l1_coherence(partial_trace(state, keep=[ix]))
         pair = reference_pair(state, label)
         blocks = block_decompose(pair)
         d = pair.dim // 2
