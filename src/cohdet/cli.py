@@ -27,6 +27,7 @@ from .states import DensityMatrix, validate
 from .tripartite import TripartiteEnsemble
 
 CSV_HEADER = ("param", "criterion", "lhs", "rhs", "margin", "verdict")
+MAX_SCAN_POINTS = 100_000
 
 BIPARTITE_CHECKS = {
     "qubit-coherence": crit.qubit_coherence_check,
@@ -50,7 +51,7 @@ def _pairs_from_matrix(m) -> list:
 def _matrix_from_pairs(rows) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from None
     if m.ndim != 2:
         raise ParseError(f"matrix must be two-dimensional, got shape {m.shape}")
@@ -60,7 +61,7 @@ def _matrix_from_pairs(rows) -> np.ndarray:
 def _vector_from_pairs(entries) -> np.ndarray:
     try:
         return np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"ket entries must be [re, im] pairs: {exc}") from None
 
 
@@ -76,6 +77,8 @@ def _load_json(path) -> dict:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -132,7 +135,7 @@ def read_ensemble(path) -> TripartiteEnsemble:
             raise ParseError(f"{path}: term {position} has no weight")
         try:
             weight = float(term["weight"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(
                 f"{path}: term {position} weight must be a number, got {term['weight']!r}"
             ) from None
@@ -151,11 +154,11 @@ def read_ensemble(path) -> TripartiteEnsemble:
         else:
             raise ParseError(f"{path}: term {position} needs either a ket or a state")
         terms.append((weight, matrix))
+    require_psd = doc.get("require_psd", True)
+    if not isinstance(require_psd, bool):
+        raise ParseError(f"{path}: require_psd must be true or false, got {require_psd!r}")
     return TripartiteEnsemble(
-        dims=dims,
-        terms=tuple(terms),
-        singled_out=doc.get("singled_out", "A"),
-        require_psd=bool(doc.get("require_psd", True)),
+        dims=dims, terms=tuple(terms), singled_out=doc.get("singled_out", "A"), require_psd=require_psd
     )
 
 
@@ -288,11 +291,16 @@ def _parse_range(raw: str) -> list:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"range parts must be numbers, got {raw!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ParseError(f"range parts must be finite numbers, got {raw!r}")
     if step <= 0:
         raise ParseError(f"range step must be positive, got {step}")
     if stop < start:
         raise ParseError(f"range stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9))
+    steps = (stop - start) / step + 1e-9  # inf if the span overflows
+    if not steps < MAX_SCAN_POINTS:
+        raise ParseError(f"range {raw!r} has more than {MAX_SCAN_POINTS} points")
+    count = int(math.floor(steps))
     points = [start + k * step for k in range(count + 1)]
     # snap the final point onto the requested stop when it lands within
     # roundoff, so boundary values stay exactly representable

@@ -167,20 +167,29 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     ``keep`` lists distinct factor indices in the order their factors take in
     the result; keeping every index reorders the factors.
     """
-    m, dims, n = rho.matrix, rho.dims, len(rho.dims)
+    n = len(rho.dims)
     kept = [int(k) for k in keep]
     if not kept or len(set(kept)) != len(kept):
         raise ShapeError(f"keep must name at least one subsystem, each once, got {kept}")
     if min(kept) < 0 or max(kept) >= n:
         raise ShapeError(f"keep indices {kept} out of range for {n} subsystems")
+    return DensityMatrix(_reduce(rho.matrix, rho.dims, kept), tuple(rho.dims[i] for i in kept))
+
+
+def _reduce(m: np.ndarray, dims: tuple, kept: list) -> np.ndarray:
+    """The reduction behind ``partial_trace``, on a bare matrix or stack over ``dims``.
+
+    ``kept`` must already be checked; the result is a fresh contiguous array,
+    not checked again, and the tripartite survey reads it as it is.
+    """
+    n = len(dims)
     tensor = m.reshape(m.shape[:-2] + dims + dims)
     # a traced-out column axis shares its row axis's label; a kept one gets a fresh label
     col_labels = [n + kept.index(i) if i in kept else i for i in range(n)]
     out_labels = kept + [n + j for j in range(len(kept))]
     reduced = np.einsum(tensor, [..., *range(n), *col_labels], [..., *out_labels])
     d_keep = math.prod(dims[i] for i in kept)
-    reduced = np.ascontiguousarray(reduced.reshape(m.shape[:-2] + (d_keep, d_keep)))
-    return DensityMatrix(reduced, tuple(dims[i] for i in kept))
+    return np.ascontiguousarray(reduced.reshape(m.shape[:-2] + (d_keep, d_keep)))
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
@@ -274,5 +283,5 @@ def random_separable(dims, terms: int = 1, seed: int = 0, factor_rank=None) -> D
             _ginibre_state(rng, (d,), d if factor_rank is None else factor_rank).matrix
             for d in dims
         ]
-        acc += w * reduce(np.kron, factors)
+        acc += w * reduce(linalg.tensor_product, factors)
     return DensityMatrix((acc + acc.conj().T) / 2.0, dims)

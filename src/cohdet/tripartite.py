@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .coherence import l1_coherence
+from .coherence import _off_diagonal_sum, l1_coherence
 from .criteria import DETECTION_TOLERANCE, Verdict, _ceiling, _prefactor
-from .errors import NoQubitInPairError, NotConvergedError, ShapeError
-from .states import DensityMatrix, block_decompose, partial_trace, validate
+from .errors import NegativeRadicandError, NoQubitInPairError, NotConvergedError, ShapeError
+from .states import DensityMatrix, _reduce, validate
 
 LABELS = ("A", "B", "C")
 
@@ -143,42 +143,66 @@ class BipartitionSurvey:
 def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     """(rhs, TermBreakdowns) of the ensemble ceiling for each singled-out label.
 
-    All terms are handled as one stack, and the P and R blocks of every
-    label go through one Jacobi call per block order.
+    Each label reduces the certified term stack straight to its singled-out
+    factor and its qubit-first pair with the partial-trace kernel, wrapping
+    neither in a DensityMatrix; both are still refused if not finite. The
+    labels whose pair blocks share an order d are one stack: it is split,
+    measured, solved (one Jacobi call per d) and bounded in one pass, then
+    sliced back per label. Every bit, and every error, is what handling the
+    labels one by one in order gives.
     """
-    weights = np.array([w for w, _ in ens.terms])
-    parts, groups = [], {}
+    m, dims = ens._stack.matrix, ens.dims
+    groups, where = {}, {}
     for label in labels:
-        single = partial_trace(ens._stack, [LABELS.index(label)])
+        single = linalg.require_finite(_reduce(m, dims, [LABELS.index(label)]))
         # the pair in cyclic order with its qubit moved first; the sort is stable
-        pair = partial_trace(ens._stack, sorted(PAIRS[label], key=lambda i: ens.dims[i] != 2))
-        blocks = block_decompose(pair)
-        # abs(v) ** 2 is a scalar pow; an array square does not keep its bits
-        diag_sq = [float(sum(abs(v) ** 2 for v in row)) for row in pair.matrix.diagonal(0, 1, 2)]
-        norms = linalg.frobenius_norm_sq(blocks.p), linalg.frobenius_norm_sq(blocks.r)
-        d = blocks.p.shape[-1]
-        parts.append((d, l1_coherence(single), *norms, np.array(diag_sq)))
-        groups.setdefault(d, []).append(np.stack((blocks.p, blocks.r), axis=1))
+        kept = sorted(PAIRS[label], key=lambda i: dims[i] != 2)
+        pair = linalg.require_finite(_reduce(m, dims, kept))
+        d = pair.shape[-1] // 2
+        where[label] = (d, len(groups.setdefault(d, [])))
+        groups[d].append((single, pair))
     # Jacobi, not lambda_min: the CLI golden pins these printed floats byte
     # for byte; switch once CLI floats are compared within a tolerance.
-    lowest = {}
-    for d, pairs in groups.items():
-        solved = linalg.hermitian_eigenvalues(np.concatenate(pairs).reshape(-1, d, d))
+    columns = {}
+    for d, members in groups.items():
+        pairs = np.concatenate([pair for _, pair in members])
+        p, r = pairs[:, :d, :d], pairs[:, d:, d:]
+        solved = linalg.hermitian_eigenvalues(np.stack((p, r), axis=1).reshape(-1, d, d))
         if not solved.converged:
             raise NotConvergedError(f"Jacobi solver did not converge on the {d}x{d} pair blocks")
-        lowest[d] = iter(np.split(solved.eigenvalues[:, 0].reshape(-1, 2), len(pairs)))
-    ceilings = []
-    for d, coherence_x, p_norm_sq, r_norm_sq, diag_sq in parts:
-        lam = next(lowest[d])
-        ceiling = _ceiling(d, p_norm_sq + r_norm_sq - diag_sq, lam[:, 0], lam[:, 1], "pair block")
-        summands = weights * (coherence_x + ceiling * (1.0 + coherence_x))
-        columns = np.column_stack((weights, coherence_x, p_norm_sq, r_norm_sq, diag_sq, lam))
+        # abs(v) ** 2 is a scalar pow; an array square does not keep its bits
+        diag_sq = np.array([float(sum(abs(v) ** 2 for v in row)) for row in pairs.diagonal(0, 1, 2)])
+        coherence_x = _off_diagonal_sum(np.concatenate([single for single, _ in members]))
+        norms = linalg.frobenius_norm_sq(p), linalg.frobenius_norm_sq(r)
+        columns[d] = (coherence_x, *norms, diag_sq, solved.eigenvalues[:, 0].reshape(-1, 2))
+
+    def ceiling(d, rows=slice(None)):
+        _, p_norm_sq, r_norm_sq, diag_sq, lam = (c[rows] for c in columns[d])
+        return _ceiling(d, p_norm_sq + r_norm_sq - diag_sq, lam[:, 0], lam[:, 1], "pair block")
+
+    n = len(ens.terms)
+    try:
+        ceilings = {d: ceiling(d) for d in groups}
+    except NegativeRadicandError:
+        # a group names its own first failing term; the first failing label's comes first
+        for d, k in where.values():
+            ceiling(d, slice(k * n, (k + 1) * n))
+        raise
+    weights = np.array([w for w, _ in ens.terms])
+    rows = {}
+    for d, members in groups.items():
+        w = np.tile(weights, len(members))
+        coherence_x = columns[d][0]
+        summands = w * (coherence_x + ceilings[d] * (1.0 + coherence_x))
+        rows[d] = list(zip(np.column_stack((w, *columns[d])).tolist(), summands.tolist()))
+    result = []
+    for d, k in where.values():
         breakdown = tuple(
             TermBreakdown(w, cx, pn, rn, dq, lp, lr, _prefactor(d), s)
-            for (w, cx, pn, rn, dq, lp, lr), s in zip(columns.tolist(), summands.tolist())
+            for (w, cx, pn, rn, dq, lp, lr), s in rows[d][k * n : (k + 1) * n]
         )
-        ceilings.append((float(sum(t.summand for t in breakdown)), breakdown))
-    return ceilings
+        result.append((float(sum(t.summand for t in breakdown)), breakdown))
+    return result
 
 
 def ensemble_bound(ens: TripartiteEnsemble):

@@ -15,8 +15,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cohdet.cli import main, read_ensemble, read_state, state_document, write_state
+from cohdet.cli import (
+    MAX_SCAN_POINTS,
+    _parse_range,
+    main,
+    read_ensemble,
+    read_state,
+    state_document,
+    write_state,
+)
 from cohdet.coherence import l1_coherence
 from cohdet.errors import ParseError
 from cohdet.states import random_density
@@ -101,6 +111,26 @@ class TestEnsembleFiles:
         ens = read_ensemble(fixtures_dir / "flagmix_p05.json")
         assert not ens.require_psd
         assert np.linalg.eigvalsh(ens.mixture().matrix)[0] < -1e-10
+
+    @pytest.mark.parametrize("waiver", [[], 0, 1, "false", "true", None, 0.0, {}])
+    def test_psd_waiver_must_be_a_json_boolean(self, fixtures_dir, tmp_path, capsys, waiver):
+        doc = json.loads((fixtures_dir / "flagmix_p05.json").read_text())
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({**doc, "require_psd": waiver}))
+        code, out, err = run(capsys, "ensemble", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: require_psd must be true or false, got {waiver!r}\n"
+
+    @pytest.mark.parametrize("waiver", [True, False])
+    def test_psd_waiver_booleans_are_honoured(self, fixtures_dir, tmp_path, capsys, waiver):
+        doc = json.loads((fixtures_dir / "flagmix_p05.json").read_text())
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({**doc, "require_psd": waiver}))
+        code, _, err = run(capsys, "ensemble", "--file", str(path))
+        if waiver:
+            assert code == 2 and err.startswith("error: not positive semidefinite")
+        else:
+            assert code == 0 and err == ""
 
 
 class TestAnalyze:
@@ -385,10 +415,24 @@ class TestScan:
     def test_range_errors(self, tmp_path, capsys):
         base = ["scan", "--family", "xstate24", "--param", "a",
                 "--criteria", "all", "--out", str(tmp_path / "never.csv")]
-        for bad_range in ("0.5:0.1:0.1", "0:1:0", "0:1", "a:b:c"):
-            code, _, err = run(capsys, *base, "--range", bad_range)
+        bad_ranges = (
+            "0.5:0.1:0.1", "0:1:0", "0:1", "a:b:c",
+            "0:inf:1", "-inf:0:1", "0:nan:1", "0:1:inf", "nan:1:0.5",
+            # more points than the cap, or a span that overflows to infinity
+            "0:1:1e-5", "0:100000:1", "-1e308:1e308:1", "0:1e308:1e-308",
+        )
+        for bad_range in bad_ranges:
+            code, out, err = run(capsys, *base, f"--range={bad_range}")
             assert code == 2, bad_range
-            assert err.startswith("error:")
+            assert err.startswith("error:") and "Traceback" not in err
+            assert out == ""
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_range_at_the_point_cap(self):
+        points = _parse_range(f"0:{MAX_SCAN_POINTS - 1}:1")
+        assert len(points) == MAX_SCAN_POINTS and points[-1] == MAX_SCAN_POINTS - 1
+        with pytest.raises(ParseError, match=f"more than {MAX_SCAN_POINTS} points"):
+            _parse_range(f"0:{MAX_SCAN_POINTS}:1")
 
     def test_out_of_family_range(self, tmp_path, capsys):
         code, _, err = run(
@@ -599,3 +643,143 @@ class TestParser:
 
     def test_no_arguments_is_an_error(self, capsys):
         assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed-input fuzz: every input below is invalid by construction, so each
+# must end in exit 2 with an "error:" line, never in an exception out of main
+
+# JSON reads any integer exactly; 10**400 has no float
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+DIMS = st.lists(st.integers(1, 4), min_size=1, max_size=3) | JSON_VALUES
+
+
+def pair_matrix_shaped(value) -> bool:
+    """A list of lists of two-entry lists, the one JSON shape a matrix is read from."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(isinstance(e, list) and len(e) == 2 for e in row)
+        for row in value
+    )
+
+
+@st.composite
+def non_hermitian_matrices(draw):
+    """A square matrix of [re, im] pairs of any JSON leaves whose first diagonal
+    entry, if it is a number at all, is at least 1e-3 off the real axis."""
+    n = draw(st.integers(1, 3))
+    pair = st.lists(JSON_LEAVES, min_size=2, max_size=2)
+    rows = draw(st.lists(st.lists(pair, min_size=n, max_size=n), min_size=n, max_size=n))
+    far_imag = st.floats(min_value=1e-3) | st.floats(max_value=-1e-3) | st.just(math.nan)
+    rows[0][0] = [draw(JSON_LEAVES), draw(far_imag)]
+    return rows
+
+
+def raw_files_without(key):
+    """Bytes that are not JSON, too deep to read, or JSON without ``key`` at the top."""
+
+    def lacks_key(raw) -> bool:
+        try:
+            doc = json.loads(raw)
+        except (ValueError, RecursionError):
+            return True
+        return not (isinstance(doc, dict) and key in doc)
+
+    deep = st.integers(1, 50_000).map(lambda n: b"[" * n + b"]" * n)
+    return deep | st.binary(max_size=40).filter(lacks_key)
+
+
+MATRICES = JSON_VALUES.filter(lambda v: not pair_matrix_shaped(v)) | non_hermitian_matrices()
+STATE_DOCS = (
+    st.fixed_dictionaries({"dims": DIMS, "matrix": MATRICES}, optional={"metadata": JSON_VALUES})
+    | st.dictionaries(st.sampled_from(["dims", "metadata", "terms"]), JSON_VALUES)
+    | JSON_VALUES.filter(lambda v: not isinstance(v, dict))
+)
+TERMS = st.fixed_dictionaries(
+    {}, optional={"weight": JSON_LEAVES, "ket": JSON_VALUES, "state": JSON_VALUES}
+)
+
+
+@st.composite
+def ensemble_docs(draw):
+    """An ensemble document with at least one term sure to fail: a weight and a
+    non-Hermitian state, put among arbitrary terms."""
+    terms = draw(st.lists(TERMS, max_size=3))
+    poisoned = {"weight": draw(JSON_LEAVES), "state": draw(non_hermitian_matrices())}
+    terms.insert(draw(st.integers(0, len(terms))), poisoned)
+    doc = {"dims": draw(st.just([2, 2, 2]) | DIMS), "terms": terms}
+    for key in ("singled_out", "require_psd"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.sampled_from(["A", "B", "C"]) | JSON_LEAVES)
+    return draw(st.just(doc) | st.just({k: v for k, v in doc.items() if k != "terms"}))
+
+
+def is_number(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+FINITE = st.floats(-1e6, 1e6)
+BAD_RANGES = st.one_of(
+    st.text(max_size=12).filter(lambda t: t.count(":") != 2),
+    st.lists(st.text(max_size=6) | FINITE.map(repr), min_size=3, max_size=3)
+    .filter(lambda parts: not all(map(is_number, parts)))
+    .map(":".join),
+    st.tuples(st.lists(st.floats(), min_size=2, max_size=2), st.integers(0, 2),
+              st.sampled_from([math.inf, -math.inf, math.nan]))
+    .map(lambda v: ":".join(map(repr, v[0][: v[1]] + [v[2]] + v[0][v[1]:]))),
+    st.tuples(FINITE, FINITE, st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+    .map(lambda v: ":".join(map(repr, v))),
+    st.tuples(FINITE, FINITE, st.floats(1e-6, 1e6))
+    .filter(lambda v: v[0] != v[1])
+    .map(lambda v: f"{max(v[:2])!r}:{min(v[:2])!r}:{v[2]!r}"),
+    # up to twice the point cap, so a missing cap costs time here, not memory
+    st.tuples(FINITE, st.floats(1e-6, 1e6), st.floats(MAX_SCAN_POINTS + 1, 2 * MAX_SCAN_POINTS))
+    .map(lambda v: f"{v[0]!r}:{v[0] + v[1] * v[2]!r}:{v[1]!r}"),
+)
+
+FUZZ = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def assert_refused(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2, (argv, captured.out)
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+class TestMalformedInputFuzz:
+    @FUZZ
+    @given(content=STATE_DOCS.map(lambda d: json.dumps(d).encode()) | raw_files_without("matrix"))
+    def test_state_files(self, tmp_path, capsys, content):
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        assert_refused(capsys, "analyze", "--state", str(path))
+
+    @FUZZ
+    @given(content=ensemble_docs().map(lambda d: json.dumps(d).encode()) | raw_files_without("terms"))
+    def test_ensemble_files(self, tmp_path, capsys, content):
+        path = tmp_path / "ensemble.json"
+        path.write_bytes(content)
+        assert_refused(capsys, "ensemble", "--file", str(path), "--all-bipartitions")
+
+    @FUZZ
+    @given(bad_range=BAD_RANGES)
+    def test_scan_ranges(self, tmp_path, capsys, bad_range):
+        out = tmp_path / "never.csv"
+        assert_refused(capsys, "scan", "--family", "xstate24", "--param", "a",
+                       f"--range={bad_range}", "--criteria", "all", "--out", str(out))
+        assert not out.exists()

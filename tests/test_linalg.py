@@ -83,6 +83,17 @@ class TestTensorProduct:
             left = np.trace(tensor_product(a, b))
             assert abs(left - np.trace(a) * np.trace(b)) < 1e-12
 
+    def test_bits_equal_numpy_kron(self):
+        rng = np.random.default_rng(29)
+        shapes = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (4, 2), (3, 3)]
+        for k in range(400):
+            (ra, ca), (rb, cb) = shapes[k % len(shapes)], shapes[(k // len(shapes)) % len(shapes)]
+            a = rng.normal(size=(ra, ca)) + 1j * rng.normal(size=(ra, ca))
+            b = rng.normal(size=(rb, cb)) * 1e-3 + 1j * rng.normal(size=(rb, cb)) * 1e3
+            product = tensor_product(a, b)
+            assert product.dtype == np.complex128 and product.flags.c_contiguous
+            assert product.tobytes() == np.kron(a, b).tobytes()
+
     def test_size_cap(self):
         side = int(math.isqrt(MAX_DIMENSION)) + 1
         block = np.eye(side)

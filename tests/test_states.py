@@ -5,6 +5,7 @@ the projector by hand; the generator determinism values are pinned by the
 golden file under tests/data, recorded when the scheme was first fixed.
 """
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -313,6 +314,18 @@ class TestRandomSeparable:
         a = random_separable((2, 4), terms=3, seed=17)
         b = random_separable((2, 4), terms=3, seed=17)
         assert np.array_equal(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("dims, terms, seed, factor_rank, digest", [
+        ((2, 2), 1, 0, None, "1c5b73bd80d1a82eb8adbaf7735cd3a59a1ee32eee0bf5200a322dfd5d441d60"),
+        ((2, 3), 3, 7, None, "de634286df5ba0affa995ec45564365515043679fe2afcfd8b05b2a0ceb9fc27"),
+        ((2, 2, 2), 4, 11, 1, "bf77529f184e6f96b4b966cf3d849d4b88114e348b85157eef43c4970bf98ea3"),
+        ((3, 2, 2), 2, 5, None, "41a31257b2b3fc41100a398d186f36eeb1a150356b1ffcfbe9234cdb0587bfbc"),
+        ((2, 4), 5, 123, 1, "4c02b6ba90a9081589227d456e62f43ea2b450c73fc40a3d65805a5ce1009bb0"),
+    ])
+    def test_bytes_are_pinned(self, dims, terms, seed, factor_rank, digest):
+        # recorded when the factors were still multiplied by np.kron
+        state = random_separable(dims, terms=terms, seed=seed, factor_rank=factor_rank)
+        assert hashlib.sha256(state.matrix.tobytes()).hexdigest() == digest
 
     def test_parameter_validation(self):
         for terms in (0, MAX_DIMENSION + 1):

@@ -345,6 +345,21 @@ class TestSharedSurvey:
         assert list(skipped) == (["B"] if ens.dims == (3, 2, 3) else [])
         assert [r.singled_out for r in survey.reports] == [x for x in "ABC" if x not in skipped]
 
+    def test_one_coercion_per_survey(self, monkeypatch):
+        # the reduced factors and pairs are read as they come from the kernel;
+        # only the Jacobi input check still coerces
+        calls = []
+        real = linalg.as_matrices
+
+        def counting(candidate):
+            calls.append(1)
+            return real(candidate)
+
+        ens = build_family("puremix", p=0.5)
+        monkeypatch.setattr(linalg, "as_matrices", counting)
+        all_bipartitions_check(ens)
+        assert len(calls) == 1
+
     def test_caller_ensemble_is_unchanged(self):
         ens = random_product_ensemble((2, 2, 2), 2, seed=5)
         mixture = ens.mixture()
@@ -469,6 +484,30 @@ class TestEnsembleValidation:
         for check in (ensemble_bound_check, all_bipartitions_check):
             with pytest.raises(NegativeRadicandError, match=message):
                 check(ens)
+
+    def test_first_failing_label_names_the_root(self):
+        # dims (2, 3, 2): labels A and C leave a 2x3 pair and B a 2x2 one, so B
+        # is bounded in a stack of its own. The pairs of B (c x a) and C (a x b)
+        # both have an indefinite P block; B's error comes first, as it does
+        # label by label (C's P block is at -3.333e-02).
+        a = np.diag([-0.1, 1.1]).astype(complex)
+        term = tensor_product(tensor_product(a, np.eye(3, dtype=complex) / 3), np.eye(2) / 2)
+        ens = TripartiteEnsemble((2, 3, 2), ((1.0, term),), require_psd=False)
+        with pytest.raises(NegativeRadicandError) as exc:
+            all_bipartitions_check(ens)
+        assert str(exc.value) == (
+            "lambda_min of pair block P is -5.000e-02, beyond the -1e-10 window"
+        )
+
+    def test_overflowing_pair_is_refused(self):
+        # Hermitian, unit trace and indefinite, yet tracing out C adds the two
+        # 1e308 entries into an infinite entry of the AB pair
+        m = np.diag([0.5, 0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+        m[0, 6] = m[6, 0] = m[1, 7] = m[7, 1] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            ens = TripartiteEnsemble((2, 2, 2), ((1.0, m),), require_psd=False)
+            with pytest.raises(ShapeError, match="^matrix contains NaN or infinite entries$"):
+                all_bipartitions_check(ens)
 
     def test_ensembles_are_frozen(self):
         ens = build_family("bellmix", p=0.5)
