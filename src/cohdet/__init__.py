@@ -1,6 +1,6 @@
 """Coherence-based entanglement detection for small quantum systems."""
 
-from .coherence import l1_coherence, product_coherence
+from .coherence import l1_coherence
 from .criteria import (
     DETECTION_TOLERANCE,
     CriterionReport,
@@ -15,7 +15,7 @@ from .criteria import (
     separable_bound,
 )
 from .families import FamilySpec, build_family, family_names, get_family
-from .gellmann import GellMannBasis, build_basis, symmetric_sum
+from .gellmann import GellMannBasis, build_basis
 from .states import (
     RNG_SCHEME,
     BlockDecomposition,
@@ -67,14 +67,12 @@ __all__ = [
     "l1_coherence",
     "permute_subsystems",
     "ppt_check",
-    "product_coherence",
     "qubit_coherence_check",
     "qudit_coherence_check",
     "random_density",
     "random_separable",
     "separable_bound",
     "state_violations",
-    "symmetric_sum",
     "validate",
     "__version__",
 ]

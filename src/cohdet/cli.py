@@ -11,6 +11,7 @@ never an error, so pipelines can tell breakage from inconclusiveness.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import criteria as crit
 from . import gellmann, linalg, states, tripartite
-from .errors import ParseError
+from .errors import ParseError, shown
 from .families import build_family, family_names, get_family
 from .states import DensityMatrix, validate
 from .tripartite import TripartiteEnsemble
@@ -48,21 +49,31 @@ def _pairs_from_matrix(m) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
-def _matrix_from_pairs(rows) -> np.ndarray:
+def _matrix_from_pairs(rows, source) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from None
+        raise ParseError(f"{source}: matrix entries must be [re, im] pairs: {exc}") from None
     if m.ndim != 2:
-        raise ParseError(f"matrix must be two-dimensional, got shape {m.shape}")
+        raise ParseError(f"{source}: matrix must be two-dimensional, got shape {m.shape}")
     return m
 
 
-def _vector_from_pairs(entries) -> np.ndarray:
+def _vector_from_pairs(entries, source) -> np.ndarray:
     try:
         return np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"ket entries must be [re, im] pairs: {exc}") from None
+        raise ParseError(f"{source}: ket entries must be [re, im] pairs: {exc}") from None
+
+
+@contextlib.contextmanager
+def _named(source):
+    """Put ``source`` in front of the message of a ValueError raised inside, keeping its type."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{source}: {exc}",)
+        raise
 
 
 def _dump_json(obj, path) -> None:
@@ -75,7 +86,7 @@ def _load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to read
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply to read") from None
@@ -95,7 +106,7 @@ def _dims_from(raw, source) -> tuple:
             return dims
     raise ParseError(
         f"{source}: dims must be a list of integers in 1..{cap} with a product of at most "
-        f"{cap}, got {raw!r}"
+        f"{cap}, got {shown(raw)}"
     )
 
 
@@ -115,7 +126,9 @@ def read_state(path) -> DensityMatrix:
     for key in ("dims", "matrix"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
-    return validate(_matrix_from_pairs(doc["matrix"]), _dims_from(doc["dims"], path))
+    matrix, dims = _matrix_from_pairs(doc["matrix"], path), _dims_from(doc["dims"], path)
+    with _named(path):
+        return validate(matrix, dims)
 
 
 def read_ensemble(path) -> TripartiteEnsemble:
@@ -126,40 +139,36 @@ def read_ensemble(path) -> TripartiteEnsemble:
     dims = _dims_from(doc["dims"], path)
     total = math.prod(dims)
     if not isinstance(doc["terms"], list):
-        raise ParseError(f"{path}: terms must be a list, got {doc['terms']!r}")
+        raise ParseError(f"{path}: terms must be a list, got {shown(doc['terms'])}")
     terms = []
     for position, term in enumerate(doc["terms"], start=1):
+        source = f"{path}: term {position}"
         if not isinstance(term, dict):
-            raise ParseError(f"{path}: term {position} must be an object, got {term!r}")
+            raise ParseError(f"{source} must be an object, got {shown(term)}")
         if "weight" not in term:
-            raise ParseError(f"{path}: term {position} has no weight")
+            raise ParseError(f"{source} has no weight")
         try:
             weight = float(term["weight"])
         except (TypeError, ValueError, OverflowError):
-            raise ParseError(
-                f"{path}: term {position} weight must be a number, got {term['weight']!r}"
-            ) from None
+            raise ParseError(f"{source} weight must be a number, got {shown(term['weight'])}") from None
         if "ket" in term:
-            v = _vector_from_pairs(term["ket"])
+            v = _vector_from_pairs(term["ket"], source)
             if v.shape != (total,):
-                raise ParseError(
-                    f"{path}: term {position} ket has {v.shape[0]} amplitudes, dims need {total}"
-                )
+                raise ParseError(f"{source} ket has {v.shape[0]} amplitudes, dims need {total}")
             norm = float(np.linalg.norm(v))
             if abs(norm - 1.0) > 1e-9:
-                raise ParseError(f"{path}: term {position} ket norm is {norm!r}, not 1")
+                raise ParseError(f"{source} ket norm is {norm!r}, not 1")
             matrix = np.outer(v, v.conj())
         elif "state" in term:
-            matrix = _matrix_from_pairs(term["state"])
+            matrix = _matrix_from_pairs(term["state"], source)
         else:
-            raise ParseError(f"{path}: term {position} needs either a ket or a state")
+            raise ParseError(f"{source} needs either a ket or a state")
         terms.append((weight, matrix))
     require_psd = doc.get("require_psd", True)
     if not isinstance(require_psd, bool):
-        raise ParseError(f"{path}: require_psd must be true or false, got {require_psd!r}")
-    return TripartiteEnsemble(
-        dims=dims, terms=tuple(terms), singled_out=doc.get("singled_out", "A"), require_psd=require_psd
-    )
+        raise ParseError(f"{path}: require_psd must be true or false, got {shown(require_psd)}")
+    with _named(path):
+        return TripartiteEnsemble(dims, tuple(terms), doc.get("singled_out", "A"), require_psd)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +219,7 @@ def _parse_criteria(raw: str, all_means=ALL_CRITERIA) -> list:
         raise ParseError("criteria list is empty")
     for c in requested:
         if c not in ALL_CRITERIA:
-            raise ParseError(f"unknown criterion {c!r}; available: {', '.join(ALL_CRITERIA)}")
+            raise ParseError(f"unknown criterion {shown(c)}; available: {', '.join(ALL_CRITERIA)}")
     return requested
 
 
@@ -286,20 +295,20 @@ def _cmd_ensemble(args) -> int:
 def _parse_range(raw: str) -> list:
     parts = raw.split(":")
     if len(parts) != 3:
-        raise ParseError(f"range must be start:stop:step, got {raw!r}")
+        raise ParseError(f"range must be start:stop:step, got {shown(raw)}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise ParseError(f"range parts must be numbers, got {raw!r}") from None
+        raise ParseError(f"range parts must be numbers, got {shown(raw)}") from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ParseError(f"range parts must be finite numbers, got {raw!r}")
+        raise ParseError(f"range parts must be finite numbers, got {shown(raw)}")
     if step <= 0:
         raise ParseError(f"range step must be positive, got {step}")
     if stop < start:
         raise ParseError(f"range stop {stop} is below start {start}")
     steps = (stop - start) / step + 1e-9  # inf if the span overflows
     if not steps < MAX_SCAN_POINTS:
-        raise ParseError(f"range {raw!r} has more than {MAX_SCAN_POINTS} points")
+        raise ParseError(f"range {shown(raw)} has more than {MAX_SCAN_POINTS} points")
     count = int(math.floor(steps))
     points = [start + k * step for k in range(count + 1)]
     # snap the final point onto the requested stop when it lands within
@@ -388,7 +397,7 @@ def _parse_dims(raw: str) -> tuple:
     try:
         dims = [int(p) for p in raw.lower().split("x")]
     except ValueError:
-        raise ParseError(f"dims must look like 2x3 or 2x2x2, got {raw!r}") from None
+        raise ParseError(f"dims must look like 2x3 or 2x2x2, got {shown(raw)}") from None
     return _dims_from(dims, "--dims")
 
 

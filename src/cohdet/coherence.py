@@ -27,14 +27,3 @@ def _off_diagonal_sum(m: np.ndarray) -> np.ndarray:
     magnitudes[..., : min(rows, cols) * (cols + 1) : cols + 1] = 0.0
     return magnitudes.sum(axis=-1)
 
-
-def product_coherence(c_left: float, c_right: float) -> float:
-    """Coherence of a tensor product from its factor coherences.
-
-    For any two states, C(a tensor b) = c_left + c_right * (1 + c_left):
-    every off-diagonal of the product is an off-diagonal of one factor
-    times an arbitrary entry of the other.
-    """
-    if c_left < 0 or c_right < 0:
-        raise ValueError(f"coherences must be nonnegative, got {c_left} and {c_right}")
-    return c_left + c_right * (1.0 + c_left)

@@ -5,8 +5,11 @@ with the qubit factor first, and returns a report carrying the two sides of
 its inequality, so callers can audit the margin instead of trusting a bare
 verdict. The PPT test lives here too, as an independent reference point: it
 diagonalizes the partial transpose, while the checks diagonalize the blocks
-P and R, and it is exact in 2x2 and 2x3. The separable ceiling is written
-once, in ``_ceiling``, and the tripartite ensemble bound builds on it.
+P and R, and it is exact in 2x2 and 2x3. Everything the checks read from a
+state (blocks, coherence, masses, block spectra) is one ``BlockAnalysis``,
+kept per state; the separable ceiling is written once, in ``_ceiling``. The
+tripartite ensemble bound reads the same analysis of each pair and the same
+ceiling.
 
 The coherence-based checks are one-sided detectors: a firing report says
 entangled, a silent one says nothing. The block-spectrum check is the lone
@@ -23,11 +26,12 @@ import enum
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .coherence import l1_coherence
+from .coherence import _off_diagonal_sum
 from .errors import NegativeRadicandError, ShapeError
 from .states import BlockDecomposition, DensityMatrix, block_decompose, partial_transpose
 
@@ -65,64 +69,74 @@ class PptVerdict:
     is_ppt: bool
 
 
-def _report(criterion, lhs, rhs, *, fired, quiet, notes=()) -> CriterionReport:
+def _report(criterion, lhs, rhs, *, quiet=Verdict.INCONCLUSIVE, notes=()) -> CriterionReport:
+    """Entangled where lhs exceeds rhs by more than the tolerance, ``quiet`` elsewhere."""
     margin = lhs - rhs
-    above = margin > DETECTION_TOLERANCE
+    above, fired = margin > DETECTION_TOLERANCE, Verdict.ENTANGLED
     stacked = isinstance(above, np.ndarray)
     verdict = np.where(above, fired, quiet) if stacked else (fired if above else quiet)
     return CriterionReport(criterion, lhs, rhs, margin, verdict, DETECTION_TOLERANCE, tuple(notes))
 
 
-# Quantities several checks read from one state, filled on first use. Keyed
-# weakly on the state object (frozen, read-only matrix, identity hash), so an
-# entry lives exactly as long as its state and every check sees the same bits.
+class BlockAnalysis:
+    """What the checks and the separable ceiling read from one qubit-first matrix or stack.
+
+    ``matrix`` is taken as it is and ``blocks`` are its P/Q/R blocks. Each
+    quantity is computed on first use and then kept, so every reader sees
+    the same bits; a stack gets one value per matrix, each as if alone.
+    """
+
+    def __init__(self, matrix: np.ndarray, blocks: BlockDecomposition):
+        self.matrix, self.blocks = matrix, blocks
+
+    @cached_property
+    def coherence(self):
+        return linalg.item_or_array(_off_diagonal_sum(self.matrix))
+
+    @cached_property
+    def coupling_mass(self):
+        return linalg.frobenius_norm_sq(self.blocks.q)
+
+    @cached_property
+    def trace_pr(self):
+        return linalg.trace_product(self.blocks.p, self.blocks.r).real
+
+    @cached_property
+    def diagonal_functional(self):
+        """The off-diagonal entries of P+R summed directly, plus twice Tr(PR).
+
+        Both terms are real for Hermitian blocks up to roundoff, which is
+        discarded. The sum runs over the complex entries: summing their real
+        parts alone changes the last bit of some values.
+        """
+        off = self.blocks.p + self.blocks.r
+        np.einsum("...ii->...i", off)[...] = 0.0  # a writable view of each diagonal
+        return linalg.item_or_array(off.sum(axis=(-2, -1)).real + 2.0 * self.trace_pr)
+
+    @cached_property
+    def lambda_min_p(self):
+        return linalg.lambda_min(self.blocks.p)
+
+    @cached_property
+    def lambda_min_r(self):
+        return linalg.lambda_min(self.blocks.r)
+
+    @cached_property
+    def masses(self) -> tuple:
+        """|P|_2^2, |R|_2^2 and sum_j |rho_jj|^2 (a correctly rounded square): the radicand's terms."""
+        norms = [linalg.frobenius_norm_sq(b) for b in (self.blocks.p, self.blocks.r)]
+        return (*norms, (np.abs(np.diagonal(self.matrix, axis1=-2, axis2=-1)) ** 2).sum(axis=-1))
+
+
+# One analysis per state, made on first use and keyed weakly on the state (frozen,
+# read-only matrix, identity hash), so it lives exactly as long as its state.
 _ANALYSES = weakref.WeakKeyDictionary()
 
 
-def _shared(rho: DensityMatrix, name: str, compute):
-    analysis = _ANALYSES.setdefault(rho, {})
-    if name not in analysis:
-        analysis[name] = compute()
-    return analysis[name]
-
-
-def _blocks(rho: DensityMatrix) -> BlockDecomposition:
-    return _shared(rho, "blocks", lambda: block_decompose(rho))
-
-
-def _lambda_min_p(rho: DensityMatrix) -> float:
-    return _shared(rho, "lambda_min_p", lambda: linalg.lambda_min(_blocks(rho).p))
-
-
-def _lambda_min_r(rho: DensityMatrix) -> float:
-    return _shared(rho, "lambda_min_r", lambda: linalg.lambda_min(_blocks(rho).r))
-
-
-def _coherence(rho: DensityMatrix) -> float:
-    return _shared(rho, "coherence", lambda: l1_coherence(rho))
-
-
-def _coupling_mass(rho: DensityMatrix) -> float:
-    return _shared(rho, "coupling_mass", lambda: linalg.frobenius_norm_sq(_blocks(rho).q))
-
-
-def _diagonal_functional(rho: DensityMatrix) -> float:
-    return _shared(rho, "diagonal_functional", lambda: _coherence_rhs(_blocks(rho)))
-
-
-def _coherence_rhs(blocks: BlockDecomposition):
-    """Diagonal-block functional the coherence detectors compare against.
-
-    The off-diagonal entries of P+R summed directly, plus twice Tr(PR); both
-    terms are real for Hermitian blocks up to roundoff, which is discarded.
-    The sum runs over the complex entries: summing their real parts alone
-    changes the last bit of some values.
-    """
-    p, r = blocks.p, blocks.r
-    off = p + r
-    np.einsum("...ii->...i", off)[...] = 0.0  # a writable view of each diagonal
-    cross = linalg.trace_product(p, r).real
-    return linalg.item_or_array(off.sum(axis=(-2, -1)).real + 2.0 * cross)
+def _analysis(rho: DensityMatrix) -> BlockAnalysis:
+    if rho not in _ANALYSES:
+        _ANALYSES[rho] = BlockAnalysis(rho.matrix, block_decompose(rho))
+    return _ANALYSES[rho]
 
 
 def qubit_coherence_check(rho: DensityMatrix) -> CriterionReport:
@@ -132,13 +146,8 @@ def qubit_coherence_check(rho: DensityMatrix) -> CriterionReport:
     """
     if rho.dim != 4:
         raise ShapeError(f"check needs a two-qubit state, got total dimension {rho.dim}")
-    return _report(
-        "qubit-coherence",
-        _coherence(rho),
-        _diagonal_functional(rho),
-        fired=Verdict.ENTANGLED,
-        quiet=Verdict.INCONCLUSIVE,
-    )
+    analysis = _analysis(rho)
+    return _report("qubit-coherence", analysis.coherence, analysis.diagonal_functional)
 
 
 def qudit_coherence_check(rho: DensityMatrix) -> CriterionReport:
@@ -147,26 +156,19 @@ def qudit_coherence_check(rho: DensityMatrix) -> CriterionReport:
     The stated condition is a non-strict inequality; ties land inside the
     tolerance dead-band and stay Inconclusive, which the report notes.
     """
+    analysis = _analysis(rho)
     return _report(
         "qudit-coherence",
-        _coherence(rho),
-        _diagonal_functional(rho),
-        fired=Verdict.ENTANGLED,
-        quiet=Verdict.INCONCLUSIVE,
+        analysis.coherence,
+        analysis.diagonal_functional,
         notes=("stated as a non-strict inequality; ties within tolerance stay Inconclusive",),
     )
 
 
 def block_trace_check(rho: DensityMatrix) -> CriterionReport:
     """Detector comparing the coupling-block mass against Tr(PR)."""
-    blocks = _blocks(rho)
-    return _report(
-        "block-trace",
-        _coupling_mass(rho),
-        linalg.trace_product(blocks.p, blocks.r).real,
-        fired=Verdict.ENTANGLED,
-        quiet=Verdict.INCONCLUSIVE,
-    )
+    analysis = _analysis(rho)
+    return _report("block-trace", analysis.coupling_mass, analysis.trace_pr)
 
 
 def block_spectrum_check(rho: DensityMatrix) -> CriterionReport:
@@ -177,11 +179,11 @@ def block_spectrum_check(rho: DensityMatrix) -> CriterionReport:
     The non-firing verdict is SeparabilityConsistent: the state passed a
     condition separable states satisfy, nothing stronger.
     """
+    analysis = _analysis(rho)
     return _report(
         "block-spectrum",
-        _coupling_mass(rho),
-        _lambda_min_p(rho) * _lambda_min_r(rho),
-        fired=Verdict.ENTANGLED,
+        analysis.coupling_mass,
+        analysis.lambda_min_p * analysis.lambda_min_r,
         quiet=Verdict.SEPARABILITY_CONSISTENT,
         notes=("stated as a non-strict inequality; ties within tolerance stay quiet",),
     )
@@ -191,24 +193,25 @@ def _prefactor(d: int) -> float:
     return math.sqrt(2.0 * d * (d - 1))
 
 
-def _ceiling(d: int, radicand, lam_p, lam_r, block: str):
-    """sqrt(2d(d-1)) (sqrt(radicand) + sqrt(lam_p) sqrt(lam_r)), for one state or a stack.
+def _ceiling(prefactor, radicand, lam_p, lam_r, block: str):
+    """prefactor (sqrt(radicand) + sqrt(lam_p) sqrt(lam_r)), for one state or a stack.
 
-    Each input clamps to zero inside [-RADICAND_TOL, 0]. Anything lower means
-    an invalid state slipped through: it raises for the first failing state,
-    naming its radicand before P before R, the blocks called ``block``.
+    ``prefactor`` is sqrt(2d(d-1)), one value or one per row. Each input
+    clamps to zero inside [-RADICAND_TOL, 0]. Anything lower means an invalid
+    state slipped through: it raises for the first failing row, naming its
+    radicand before P before R, the blocks called ``block``.
     """
     values = (radicand, lam_p, lam_r)
     low = (radicand < -RADICAND_TOL) | (lam_p < -RADICAND_TOL) | (lam_r < -RADICAND_TOL)
     names = ("{} off-diagonal mass", "lambda_min of {} P", "lambda_min of {} R")
     for value, what in zip(values, names):
-        value = linalg.first_flagged(value, low)  # its value in the first failing state
+        value = linalg.first_flagged(value, low)  # its value in the first failing row
         if value is not None and value < -RADICAND_TOL:
             raise NegativeRadicandError(
                 f"{what.format(block)} is {value:.3e}, beyond the {-RADICAND_TOL:g} window"
             )
     roots = [np.sqrt(np.maximum(v, 0.0)) for v in values]
-    return linalg.item_or_array(_prefactor(d) * (roots[0] + roots[1] * roots[2]))
+    return linalg.item_or_array(prefactor * (roots[0] + roots[1] * roots[2]))
 
 
 def separable_bound(rho: DensityMatrix):
@@ -219,24 +222,21 @@ def separable_bound(rho: DensityMatrix):
 
     The radicand is the off-diagonal mass of P and R, so it is nonnegative
     up to roundoff; values inside [-1e-10, 0] clamp to zero and anything
-    lower raises. The tripartite ensemble ceiling uses the same function.
+    lower raises. The tripartite ensemble ceiling reads the same masses from
+    a BlockAnalysis of each pair and calls the same ``_ceiling``.
     """
-    blocks = _blocks(rho)
-    diag_sq = (np.abs(np.diagonal(rho.matrix, axis1=-2, axis2=-1)) ** 2).sum(axis=-1)
-    radicand = (
-        linalg.frobenius_norm_sq(blocks.p) + linalg.frobenius_norm_sq(blocks.r) - diag_sq
-    )
-    return _ceiling(blocks.p.shape[-1], radicand, _lambda_min_p(rho), _lambda_min_r(rho), "block")
+    a = _analysis(rho)
+    p_norm_sq, r_norm_sq, diag_sq = a.masses
+    radicand = p_norm_sq + r_norm_sq - diag_sq
+    return _ceiling(_prefactor(rho.dim // 2), radicand, a.lambda_min_p, a.lambda_min_r, "block")
 
 
 def coherence_bound_check(rho: DensityMatrix) -> CriterionReport:
     """Detector that fires when coherence exceeds the separable ceiling."""
     return _report(
         "coherence-bound",
-        _coherence(rho),
+        _analysis(rho).coherence,
         separable_bound(rho),
-        fired=Verdict.ENTANGLED,
-        quiet=Verdict.INCONCLUSIVE,
         notes=(f"ceiling prefactor sqrt(2d(d-1)) = {_prefactor(rho.dim // 2):.12g}",),
     )
 

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a rejected value."""
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message; past 80 characters, its first and last 38."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:38]}...{text[-38:]}"
 
 
 class ShapeError(ValueError):

@@ -115,14 +115,3 @@ def build_basis(dim: int, diagonal_coefficient: str = "rational") -> GellMannBas
         diagonal_coefficient=diagonal_coefficient,
     )
 
-
-def symmetric_sum(dim: int) -> np.ndarray:
-    """Sum of the symmetric family: all-ones matrix minus identity.
-
-    At d = 2 this is the Pauli X matrix. For Hermitian rho,
-    Tr(rho @ symmetric_sum(d)) adds up twice the real parts of the upper
-    off-diagonal entries.
-    """
-    if dim < 2:
-        raise BadDimensionError(f"symmetric sum needs dimension >= 2, got {dim}")
-    return np.ones((dim, dim), dtype=np.complex128) - np.eye(dim, dtype=np.complex128)

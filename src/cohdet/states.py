@@ -137,9 +137,6 @@ class BlockDecomposition:
     q: np.ndarray
     r: np.ndarray
 
-    def reassemble(self) -> np.ndarray:
-        return np.block([[self.p, self.q], [self.q.conj().swapaxes(-1, -2), self.r]])
-
 
 def block_decompose(rho: DensityMatrix) -> BlockDecomposition:
     """Split a qubit-first state into its P/Q/R blocks.

@@ -18,9 +18,9 @@ import numpy as np
 
 from . import linalg
 from .coherence import _off_diagonal_sum, l1_coherence
-from .criteria import DETECTION_TOLERANCE, Verdict, _ceiling, _prefactor
-from .errors import NegativeRadicandError, NoQubitInPairError, NotConvergedError, ShapeError
-from .states import DensityMatrix, _reduce, validate
+from .criteria import DETECTION_TOLERANCE, BlockAnalysis, Verdict, _ceiling, _prefactor
+from .errors import NoQubitInPairError, NotConvergedError, ShapeError, shown
+from .states import BlockDecomposition, DensityMatrix, _reduce, validate
 
 LABELS = ("A", "B", "C")
 
@@ -67,7 +67,7 @@ class TripartiteEnsemble:
         if len(dims) != 3:
             raise ShapeError(f"need exactly three subsystem dimensions, got {dims}")
         if self.singled_out not in LABELS:
-            raise ShapeError(f"singled_out must be one of {LABELS}, got {self.singled_out!r}")
+            raise ShapeError(f"singled_out must be one of {LABELS}, got {shown(self.singled_out)}")
         _require_qubit_in_pair(dims, self.singled_out)
         terms = []
         for weight, state in self.terms:
@@ -146,63 +146,46 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     Each label reduces the certified term stack straight to its singled-out
     factor and its qubit-first pair with the partial-trace kernel, wrapping
     neither in a DensityMatrix; both are still refused if not finite. The
-    labels whose pair blocks share an order d are one stack: it is split,
-    measured, solved (one Jacobi call per d) and bounded in one pass, then
-    sliced back per label. Every bit, and every error, is what handling the
-    labels one by one in order gives.
+    labels whose pair blocks share an order d are one stack: one
+    ``BlockAnalysis`` gives its masses, the same that ``separable_bound``
+    reads, and one Jacobi call its block spectra. Every label's terms are
+    then laid out in label order and bounded by one ``_ceiling`` call, so
+    every bit, and every error, is what handling the labels one by one gives.
     """
     m, dims = ens._stack.matrix, ens.dims
-    groups, where = {}, {}
+    groups, where = {}, []
     for label in labels:
         single = linalg.require_finite(_reduce(m, dims, [LABELS.index(label)]))
         # the pair in cyclic order with its qubit moved first; the sort is stable
         kept = sorted(PAIRS[label], key=lambda i: dims[i] != 2)
         pair = linalg.require_finite(_reduce(m, dims, kept))
         d = pair.shape[-1] // 2
-        where[label] = (d, len(groups.setdefault(d, [])))
+        where.append((d, len(groups.setdefault(d, []))))
         groups[d].append((single, pair))
-    # Jacobi, not lambda_min: the CLI golden pins these printed floats byte
-    # for byte; switch once CLI floats are compared within a tolerance.
     columns = {}
     for d, members in groups.items():
         pairs = np.concatenate([pair for _, pair in members])
-        p, r = pairs[:, :d, :d], pairs[:, d:, d:]
+        p, q, r = pairs[:, :d, :d], pairs[:, :d, d:], pairs[:, d:, d:]
+        analysis = BlockAnalysis(pairs, BlockDecomposition(p, q, r))
+        # Jacobi, not lambda_min: the CLI golden pins these printed floats byte
+        # for byte; switch once CLI floats are compared within a tolerance.
         solved = linalg.hermitian_eigenvalues(np.stack((p, r), axis=1).reshape(-1, d, d))
         if not solved.converged:
             raise NotConvergedError(f"Jacobi solver did not converge on the {d}x{d} pair blocks")
-        # abs(v) ** 2 is a scalar pow; an array square does not keep its bits
-        diag_sq = np.array([float(sum(abs(v) ** 2 for v in row)) for row in pairs.diagonal(0, 1, 2)])
         coherence_x = _off_diagonal_sum(np.concatenate([single for single, _ in members]))
-        norms = linalg.frobenius_norm_sq(p), linalg.frobenius_norm_sq(r)
-        columns[d] = (coherence_x, *norms, diag_sq, solved.eigenvalues[:, 0].reshape(-1, 2))
-
-    def ceiling(d, rows=slice(None)):
-        _, p_norm_sq, r_norm_sq, diag_sq, lam = (c[rows] for c in columns[d])
-        return _ceiling(d, p_norm_sq + r_norm_sq - diag_sq, lam[:, 0], lam[:, 1], "pair block")
-
+        columns[d] = np.column_stack((
+            coherence_x, *analysis.masses, solved.eigenvalues[:, 0].reshape(-1, 2),
+            np.full(len(pairs), _prefactor(d)),
+        ))
     n = len(ens.terms)
-    try:
-        ceilings = {d: ceiling(d) for d in groups}
-    except NegativeRadicandError:
-        # a group names its own first failing term; the first failing label's comes first
-        for d, k in where.values():
-            ceiling(d, slice(k * n, (k + 1) * n))
-        raise
-    weights = np.array([w for w, _ in ens.terms])
-    rows = {}
-    for d, members in groups.items():
-        w = np.tile(weights, len(members))
-        coherence_x = columns[d][0]
-        summands = w * (coherence_x + ceilings[d] * (1.0 + coherence_x))
-        rows[d] = list(zip(np.column_stack((w, *columns[d])).tolist(), summands.tolist()))
-    result = []
-    for d, k in where.values():
-        breakdown = tuple(
-            TermBreakdown(w, cx, pn, rn, dq, lp, lr, _prefactor(d), s)
-            for (w, cx, pn, rn, dq, lp, lr), s in rows[d][k * n : (k + 1) * n]
-        )
-        result.append((float(sum(t.summand for t in breakdown)), breakdown))
-    return result
+    rows = np.concatenate([columns[d][k * n : (k + 1) * n] for d, k in where])
+    coherence_x, p_norm_sq, r_norm_sq, diag_sq, lam_p, lam_r, prefactor = rows.T
+    ceilings = _ceiling(prefactor, p_norm_sq + r_norm_sq - diag_sq, lam_p, lam_r, "pair block")
+    weights = np.tile([w for w, _ in ens.terms], len(where))
+    summands = weights * (coherence_x + ceilings * (1.0 + coherence_x))
+    terms = [TermBreakdown(*row) for row in np.column_stack((weights, rows, summands)).tolist()]
+    breakdowns = (tuple(terms[i : i + n]) for i in range(0, len(terms), n))
+    return [(float(sum(t.summand for t in b)), b) for b in breakdowns]
 
 
 def ensemble_bound(ens: TripartiteEnsemble):

@@ -32,7 +32,7 @@ import pytest
 
 from conftest import REPORTS_DIR, record_criterion
 
-from cohdet.coherence import l1_coherence, product_coherence
+from cohdet.coherence import l1_coherence
 from cohdet.criteria import (
     Verdict,
     block_spectrum_check,
@@ -44,7 +44,7 @@ from cohdet.criteria import (
     separable_bound,
 )
 from cohdet.families import build_family
-from cohdet.gellmann import build_basis, symmetric_sum
+from cohdet.gellmann import build_basis
 from cohdet.linalg import hermitian_eigenvalues, tensor_product
 from cohdet.states import DensityMatrix, partial_trace, random_density, random_separable
 from cohdet.tripartite import TripartiteEnsemble, ensemble_bound_check
@@ -527,7 +527,7 @@ def test_criterion_09_operator_basis_algebra():
                 if np.trace(a @ b) != 0.0:
                     problems.append(f"d={d} cross-family")
         expected = np.ones((d, d), dtype=complex) - np.eye(d)
-        if not np.array_equal(symmetric_sum(d), expected):
+        if not np.array_equal(sum(basis.symmetric), expected):
             problems.append(f"d={d} symmetric sum")
     two = build_basis(2)
     if not np.array_equal(two.symmetric_at(1, 2), np.array([[0, 1], [1, 0]])):
@@ -579,7 +579,8 @@ def test_criterion_10_kernel_checks():
         a = random_density(int(da), seed=int(rng.integers(2**31)))
         b = random_density(int(db), seed=int(rng.integers(2**31)))
         direct = l1_coherence(tensor_product(a.matrix, b.matrix))
-        composed = product_coherence(l1_coherence(a), l1_coherence(b))
+        ca, cb = l1_coherence(a), l1_coherence(b)
+        composed = ca + cb * (1.0 + ca)  # C(a x b) = C(a) + C(b) (1 + C(a))
         worst_product = max(worst_product, abs(direct - composed))
     if worst_product > 1e-10:
         problems.append(f"product law error {worst_product:.2e}")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cohdet.cli import (
@@ -28,7 +28,7 @@ from cohdet.cli import (
     write_state,
 )
 from cohdet.coherence import l1_coherence
-from cohdet.errors import ParseError
+from cohdet.errors import ParseError, shown
 from cohdet.states import random_density
 
 CLI_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli.json"
@@ -128,7 +128,7 @@ class TestEnsembleFiles:
         path.write_text(json.dumps({**doc, "require_psd": waiver}))
         code, _, err = run(capsys, "ensemble", "--file", str(path))
         if waiver:
-            assert code == 2 and err.startswith("error: not positive semidefinite")
+            assert code == 2 and err.startswith(f"error: {path}: not positive semidefinite")
         else:
             assert code == 0 and err == ""
 
@@ -753,28 +753,49 @@ FUZZ = settings(
 )
 
 
-def assert_refused(capsys, *argv):
+# an error line may echo a rejected value, but only in part
+ERROR_LINE_LIMIT = 250
+
+
+def assert_refused(capsys, *argv, source=""):
+    """Exit 2 with one short ``error:`` line, which names ``source`` first if given."""
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2, (argv, captured.out)
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
-    assert captured.out == ""
+    assert captured.err.startswith(f"error: {source}: " if source else "error:"), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert len(captured.err) - len(source) < ERROR_LINE_LIMIT, captured.err
+
+
+def test_a_long_value_is_echoed_by_its_two_ends():
+    assert shown([2, "x"]) == repr([2, "x"])
+    assert shown(10**400) == "1" + "0" * 37 + "..." + "0" * 38
+
+
+def encoded(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+KET_ZERO_PAIRS = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
 
 
 class TestMalformedInputFuzz:
     @FUZZ
-    @given(content=STATE_DOCS.map(lambda d: json.dumps(d).encode()) | raw_files_without("matrix"))
+    @given(content=STATE_DOCS.map(encoded) | raw_files_without("matrix"))
+    @example(content=encoded({"dims": [2, 10**400], "matrix": [[[1.0, 0.0]]]}))
     def test_state_files(self, tmp_path, capsys, content):
         path = tmp_path / "state.json"
         path.write_bytes(content)
-        assert_refused(capsys, "analyze", "--state", str(path))
+        assert_refused(capsys, "analyze", "--state", str(path), source=str(path))
 
     @FUZZ
-    @given(content=ensemble_docs().map(lambda d: json.dumps(d).encode()) | raw_files_without("terms"))
+    @given(content=ensemble_docs().map(encoded) | raw_files_without("terms"))
+    @example(content=encoded({"dims": [2, 2, 2], "terms": [{"weight": 10**400, "ket": KET_ZERO_PAIRS}]}))
+    @example(content=encoded({"dims": [2, 2, 2], "terms": ["x" * 5000]}))
     def test_ensemble_files(self, tmp_path, capsys, content):
         path = tmp_path / "ensemble.json"
         path.write_bytes(content)
-        assert_refused(capsys, "ensemble", "--file", str(path), "--all-bipartitions")
+        assert_refused(capsys, "ensemble", "--file", str(path), "--all-bipartitions", source=str(path))
 
     @FUZZ
     @given(bad_range=BAD_RANGES)

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cohdet import criteria, gellmann, linalg
+from cohdet import criteria, linalg
 from cohdet.criteria import (
     DETECTION_TOLERANCE,
     CriterionReport,
@@ -428,11 +428,13 @@ class TestStackedChecks:
         for state in (stack, *singles):
             blocks = block_decompose(state)
             p, r = blocks.p, blocks.r
+            d = p.shape[-1]
+            symmetric_sum = np.ones((d, d), dtype=complex) - np.eye(d)  # sigma_x at d = 2
             trace_form = (
-                linalg.trace_product(p + r, gellmann.symmetric_sum(p.shape[-1])).real
+                linalg.trace_product(p + r, symmetric_sum).real
                 + 2.0 * linalg.trace_product(p, r).real
             )
-            direct = criteria._coherence_rhs(blocks)
+            direct = criteria.BlockAnalysis(state.matrix, blocks).diagonal_functional
             assert type(direct) is type(trace_form)
             assert [float(v).hex() for v in np.ravel(direct)] == [
                 float(v).hex() for v in np.ravel(trace_form)

@@ -12,11 +12,23 @@ import numpy as np
 import pytest
 
 from cohdet.errors import BadDimensionError
-from cohdet.gellmann import DIAGONAL_COEFFICIENTS, MAX_BASIS_DIMENSION, build_basis, symmetric_sum
+from cohdet.gellmann import DIAGONAL_COEFFICIENTS, MAX_BASIS_DIMENSION, build_basis
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def symmetric_sum(dim: int) -> np.ndarray:
+    """Sum of the symmetric family: all-ones matrix minus identity.
+
+    At d = 2 this is the Pauli X matrix. For Hermitian rho,
+    Tr(rho @ symmetric_sum(d)) adds up twice the real parts of the upper
+    off-diagonal entries.
+    """
+    if dim < 2:
+        raise BadDimensionError(f"symmetric sum needs dimension >= 2, got {dim}")
+    return np.ones((dim, dim), dtype=np.complex128) - np.eye(dim, dtype=np.complex128)
 
 
 def sequential_diagonal_sum(m):

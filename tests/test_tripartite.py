@@ -15,8 +15,9 @@ import math
 import numpy as np
 import pytest
 
-from cohdet import linalg, tripartite
+from cohdet import criteria, linalg, tripartite
 from cohdet.coherence import l1_coherence
+from cohdet.criteria import separable_bound
 from cohdet.errors import (
     NegativeRadicandError,
     NoQubitInPairError,
@@ -245,7 +246,7 @@ SURVEYED = {
     "puremix": lambda: build_family("puremix", p=0.5),
     "random-222": lambda: random_product_ensemble((2, 2, 2), 3, seed=17),
     # labels A and B leave a 2x3 pair, C a 2x2 one: two block orders; at this
-    # seed an array square instead of the scalar pow changes a diag_sq bit
+    # seed the scalar pow instead of the array square changes a diag_sq bit
     "random-223": lambda: random_product_ensemble((2, 2, 3), 2, seed=75),
     "random-323": lambda: random_product_ensemble((3, 2, 3), 2, seed=23),
 }
@@ -280,7 +281,7 @@ def per_term_ceiling(ens, label):
         pair = reference_pair(state, label)
         blocks = block_decompose(pair)
         d = pair.dim // 2
-        diag_sq = float(sum(abs(v) ** 2 for v in pair.matrix.diagonal()))
+        diag_sq = float((np.abs(pair.matrix.diagonal()) ** 2).sum())
         p_norm_sq, r_norm_sq = frobenius_norm_sq(blocks.p), frobenius_norm_sq(blocks.r)
         lam_p = float(hermitian_eigenvalues(blocks.p).eigenvalues[0])
         lam_r = float(hermitian_eigenvalues(blocks.r).eigenvalues[0])
@@ -366,6 +367,24 @@ class TestSharedSurvey:
         all_bipartitions_check(ens)
         assert ens.singled_out == "A"
         assert ens.mixture() is mixture
+
+
+class TestPairAnalysis:
+    """U1 reads U's block analysis: a term's masses are what separable_bound reads from its pair."""
+
+    @pytest.mark.parametrize("dims, terms, seed", [
+        ((2, 2, 2), 3, 17), ((2, 2, 3), 2, 75), ((2, 3, 2), 2, 75), ((3, 2, 3), 2, 23),
+    ])
+    def test_term_masses_equal_the_pair_analysis(self, dims, terms, seed):
+        ens = random_product_ensemble(dims, terms, seed=seed)
+        for report in all_bipartitions_check(ens).reports:
+            for term, (_, state) in zip(report.terms, ens.terms):
+                pair = reference_pair(state, report.singled_out)
+                separable_bound(pair)
+                analysis = criteria._ANALYSES[pair]
+                assert exact((term.p_norm_sq, term.r_norm_sq, term.diag_sq_sum)) == exact(
+                    map(float, analysis.masses)
+                )
 
 
 class TestPairBlockEigenRoute:
