@@ -2,7 +2,6 @@
 
 from .coherence import l1_coherence
 from .criteria import (
-    DETECTION_TOLERANCE,
     CriterionReport,
     PptVerdict,
     Verdict,
@@ -27,6 +26,7 @@ from .states import (
     state_violations,
     validate,
 )
+from .tolerances import DETECTION_TOLERANCE
 from .tripartite import (
     BipartitionSurvey,
     TermBreakdown,

@@ -21,14 +21,14 @@ import sys
 import numpy as np
 
 from . import criteria as crit
-from . import gellmann, linalg, states, tripartite
+from . import gellmann, states, tripartite
 from .errors import ParseError, shown
 from .families import build_family, family_names, get_family
 from .states import DensityMatrix, validate
+from .tolerances import KET_NORM_TOL, MAX_DIMENSION, MAX_SCAN_POINTS, RANGE_SLACK
 from .tripartite import TripartiteEnsemble
 
 CSV_HEADER = ("param", "criterion", "lhs", "rhs", "margin", "verdict")
-MAX_SCAN_POINTS = 100_000
 
 BIPARTITE_CHECKS = {
     "qubit-coherence": crit.qubit_coherence_check,
@@ -96,17 +96,16 @@ def _load_json(path) -> dict:
 
 
 def _dims_from(raw, source) -> tuple:
-    cap = linalg.MAX_DIMENSION
     # type(), not isinstance(): a JSON true must not pass as the int 1.
     if isinstance(raw, list) and all(
-        type(d) in (int, float) and 1 <= d <= cap and float(d).is_integer() for d in raw
+        type(d) in (int, float) and 1 <= d <= MAX_DIMENSION and float(d).is_integer() for d in raw
     ):
         dims = tuple(int(d) for d in raw)
-        if math.prod(dims) <= cap:
+        if math.prod(dims) <= MAX_DIMENSION:
             return dims
     raise ParseError(
-        f"{source}: dims must be a list of integers in 1..{cap} with a product of at most "
-        f"{cap}, got {shown(raw)}"
+        f"{source}: dims must be a list of integers in 1..{MAX_DIMENSION} with a product "
+        f"of at most {MAX_DIMENSION}, got {shown(raw)}"
     )
 
 
@@ -156,7 +155,7 @@ def read_ensemble(path) -> TripartiteEnsemble:
             if v.shape != (total,):
                 raise ParseError(f"{source} ket has {v.shape[0]} amplitudes, dims need {total}")
             norm = float(np.linalg.norm(v))
-            if abs(norm - 1.0) > 1e-9:
+            if abs(norm - 1.0) > KET_NORM_TOL:
                 raise ParseError(f"{source} ket norm is {norm!r}, not 1")
             matrix = np.outer(v, v.conj())
         elif "state" in term:
@@ -237,11 +236,7 @@ def _cmd_analyze(args) -> int:
             entries.append(_report_entry(BIPARTITE_CHECKS[name](state)))
     document = {"source": args.state, "dims": list(state.dims), "criteria": entries}
     if len(state.dims) == 2 and sorted(state.dims) in ([2, 2], [2, 3]):
-        verdict = crit.ppt_check(state)
-        document["ppt"] = {
-            "min_eigenvalue": verdict.min_eigenvalue,
-            "is_ppt": verdict.is_ppt,
-        }
+        document["ppt"] = dataclasses.asdict(crit.ppt_check(state))
     if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
@@ -306,14 +301,14 @@ def _parse_range(raw: str) -> list:
         raise ParseError(f"range step must be positive, got {step}")
     if stop < start:
         raise ParseError(f"range stop {stop} is below start {start}")
-    steps = (stop - start) / step + 1e-9  # inf if the span overflows
+    steps = (stop - start) / step + RANGE_SLACK  # inf if the span overflows
     if not steps < MAX_SCAN_POINTS:
         raise ParseError(f"range {shown(raw)} has more than {MAX_SCAN_POINTS} points")
     count = int(math.floor(steps))
     points = [start + k * step for k in range(count + 1)]
     # snap the final point onto the requested stop when it lands within
     # roundoff, so boundary values stay exactly representable
-    if abs(points[-1] - stop) < step * 1e-9:
+    if abs(points[-1] - stop) < step * RANGE_SLACK:
         points[-1] = stop
     return points
 

@@ -7,9 +7,9 @@ verdict. The PPT test lives here too, as an independent reference point: it
 diagonalizes the partial transpose, while the checks diagonalize the blocks
 P and R, and it is exact in 2x2 and 2x3. Everything the checks read from a
 state (blocks, coherence, masses, block spectra) is one ``BlockAnalysis``,
-kept per state; the separable ceiling is written once, in ``_ceiling``. The
-tripartite ensemble bound reads the same analysis of each pair and the same
-ceiling.
+kept per state; the separable ceiling is written once, in ``_ceiling``, and
+the verdict rule once, in ``_decide``. The tripartite ensemble bound reads
+the same analysis of each pair, the same ceiling and the same rule.
 
 The coherence-based checks are one-sided detectors: a firing report says
 entangled, a silent one says nothing. The block-spectrum check is the lone
@@ -34,10 +34,7 @@ from . import linalg
 from .coherence import _off_diagonal_sum
 from .errors import NegativeRadicandError, ShapeError
 from .states import BlockDecomposition, DensityMatrix, block_decompose, partial_transpose
-
-DETECTION_TOLERANCE = 1e-10
-PPT_TOL = 1e-10
-RADICAND_TOL = 1e-10
+from .tolerances import DETECTION_TOLERANCE, PPT_TOL, RADICAND_TOL
 
 
 class Verdict(enum.Enum):
@@ -69,12 +66,17 @@ class PptVerdict:
     is_ppt: bool
 
 
-def _report(criterion, lhs, rhs, *, quiet=Verdict.INCONCLUSIVE, notes=()) -> CriterionReport:
-    """Entangled where lhs exceeds rhs by more than the tolerance, ``quiet`` elsewhere."""
+def _decide(lhs, rhs, quiet=Verdict.INCONCLUSIVE) -> tuple:
+    """(margin, verdict): Entangled where lhs - rhs > DETECTION_TOLERANCE, per state of a stack."""
     margin = lhs - rhs
-    above, fired = margin > DETECTION_TOLERANCE, Verdict.ENTANGLED
-    stacked = isinstance(above, np.ndarray)
-    verdict = np.where(above, fired, quiet) if stacked else (fired if above else quiet)
+    above = margin > DETECTION_TOLERANCE
+    if isinstance(above, np.ndarray):
+        return margin, np.where(above, Verdict.ENTANGLED, quiet)
+    return margin, Verdict.ENTANGLED if above else quiet
+
+
+def _report(criterion, lhs, rhs, *, quiet=Verdict.INCONCLUSIVE, notes=()) -> CriterionReport:
+    margin, verdict = _decide(lhs, rhs, quiet)
     return CriterionReport(criterion, lhs, rhs, margin, verdict, DETECTION_TOLERANCE, tuple(notes))
 
 
@@ -221,7 +223,7 @@ def separable_bound(rho: DensityMatrix):
                       + sqrt(lambda_min(P) lambda_min(R)) ]
 
     The radicand is the off-diagonal mass of P and R, so it is nonnegative
-    up to roundoff; values inside [-1e-10, 0] clamp to zero and anything
+    up to roundoff; values inside [-RADICAND_TOL, 0] clamp to zero and anything
     lower raises. The tripartite ensemble ceiling reads the same masses from
     a BlockAnalysis of each pair and calls the same ``_ceiling``.
     """

@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ParamOutOfRangeError, UnknownFamilyError
 from .states import DensityMatrix, validate
+from .tolerances import MINOR_SLACK
 from .tripartite import TripartiteEnsemble
-
-MINOR_SLACK = 1e-12
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionError
+from .tolerances import MAX_BASIS_DIMENSION
 
 DIAGONAL_COEFFICIENTS = ("rational", "orthonormal")
-# d^2 - 1 matrices of d x d entries: the cost grows like d^4
-MAX_BASIS_DIMENSION = 32
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:

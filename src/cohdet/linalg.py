@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotHermitianError, ShapeError, SizeError
-
-MAX_DIMENSION = 4096
-HERMITICITY_TOL = 1e-9
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+from .tolerances import HERMITICITY_TOL, JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, MAX_DIMENSION
 
 
 def as_matrices(candidate) -> np.ndarray:

@@ -24,9 +24,7 @@ from .errors import (
     QubitNotFirstError,
     ShapeError,
 )
-
-TRACE_TOL = 1e-9
-PSD_TOL = 1e-10
+from .tolerances import HERMITICITY_TOL, MAX_DIMENSION, PSD_TOL, TRACE_TOL
 
 # Seeded-stream contract: uniforms from numpy's PCG64, Gaussians by Box-Muller
 # on top of them, Dirichlet weights as normalized -log(1-u) draws. Bump the
@@ -70,7 +68,7 @@ class DensityMatrix:
 
 
 def _violations(deviation: float, trace_error: float, smallest: float) -> list:
-    if deviation > linalg.HERMITICITY_TOL:
+    if deviation > HERMITICITY_TOL:
         # eigenvalues are meaningless past this point
         return [f"not Hermitian: max |m - m^H| entry is {deviation:.3e}"]
     found = []
@@ -106,22 +104,27 @@ def state_violations(matrix, dims, require_psd: bool = True) -> list:
 def validate(matrix, dims, *, require_psd: bool = True) -> DensityMatrix:
     """Certify a candidate as a density matrix or raise the first violation.
 
-    Tolerances: Hermiticity and trace within 1e-9, smallest eigenvalue no
-    lower than -1e-10. Nothing is clamped or renormalized; a candidate that
-    fails is rejected as is. ``require_psd=False`` skips only the positivity
-    check (used for as-printed fixture constructions that are Hermitian and
-    unit-trace but indefinite). A stack fails with its first failing state.
+    Tolerances: HERMITICITY_TOL, TRACE_TOL and PSD_TOL. Nothing is clamped
+    or renormalized; a failing candidate is rejected as is. ``require_psd=False``
+    skips only the positivity check (used for as-printed fixture
+    constructions that are Hermitian and unit-trace but indefinite). A stack
+    fails with its first failing state.
     """
     state = DensityMatrix(matrix, dims)
-    found = next(filter(None, _violations_per_state(state.matrix, require_psd)), [])
-    if found:
-        message = "; ".join(found)
-        if found[0].startswith("not Hermitian"):
-            raise NotHermitianError(message, found)
-        if found[0].startswith("trace"):
-            raise NotUnitTraceError(message, found)
-        raise NotPositiveError(message, found)
+    _refuse_any(next(filter(None, _violations_per_state(state.matrix, require_psd)), []))
     return state
+
+
+def _refuse_any(found: list, prefix: str = "") -> None:
+    """Raise for the first violation in ``found``, if any, with ``prefix`` leading the message."""
+    if not found:
+        return
+    message = prefix + "; ".join(found)
+    if found[0].startswith("not Hermitian"):
+        raise NotHermitianError(message, found)
+    if found[0].startswith("trace"):
+        raise NotUnitTraceError(message, found)
+    raise NotPositiveError(message, found)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +267,8 @@ def random_separable(dims, terms: int = 1, seed: int = 0, factor_rank=None) -> D
     if len(dims) < 2:
         raise ShapeError("separable states need at least two subsystems")
     terms = int(terms)
-    if not 1 <= terms <= linalg.MAX_DIMENSION:
-        raise ShapeError(f"terms must be in 1..{linalg.MAX_DIMENSION}, got {terms}")
+    if not 1 <= terms <= MAX_DIMENSION:
+        raise ShapeError(f"terms must be in 1..{MAX_DIMENSION}, got {terms}")
     if factor_rank is not None:
         factor_rank = int(factor_rank)
         if not 1 <= factor_rank <= min(dims):

@@ -18,9 +18,10 @@ import numpy as np
 
 from . import linalg
 from .coherence import _off_diagonal_sum, l1_coherence
-from .criteria import DETECTION_TOLERANCE, BlockAnalysis, Verdict, _ceiling, _prefactor
+from .criteria import BlockAnalysis, Verdict, _ceiling, _decide, _prefactor
 from .errors import NoQubitInPairError, NotConvergedError, ShapeError, shown
-from .states import BlockDecomposition, DensityMatrix, _reduce, validate
+from .states import BlockDecomposition, DensityMatrix, _reduce, _refuse_any, _violations_per_state
+from .tolerances import DETECTION_TOLERANCE, WEIGHT_TOL
 
 LABELS = ("A", "B", "C")
 
@@ -28,8 +29,6 @@ LABELS = ("A", "B", "C")
 # of the pair indexes the blocks when both are qubits.
 PAIRS = {"A": (1, 2), "B": (2, 0), "C": (0, 1)}
 PAIR_LABELS = {x: LABELS[iy] + LABELS[iz] for x, (iy, iz) in PAIRS.items()}
-
-WEIGHT_TOL = 1e-10
 
 
 def _require_qubit_in_pair(dims: tuple, singled_out: str) -> None:
@@ -51,8 +50,9 @@ class TripartiteEnsemble:
     analysis downstream has nothing to decompose. ``require_psd=False``
     admits indefinite members (and mixture): some textbook constructions
     are written down entrywise and are not physical states, yet their
-    bound arithmetic is still well defined. The members are certified as
-    one stack and the mixture is built and certified once, at construction.
+    bound arithmetic is still well defined. The members and the mixture
+    are certified as one stack, at construction; a failing member is named
+    ``term k``, counted from 1.
     """
 
     dims: tuple
@@ -84,15 +84,21 @@ class TripartiteEnsemble:
             terms.append((weight, state))
         if not terms:
             raise ShapeError("ensemble needs at least one term")
-        stack = validate(np.stack([s.matrix for _, s in terms]), dims, require_psd=self.require_psd)
+        stack = np.stack([s.matrix for _, s in terms])
+        acc = sum(w * s.matrix for w, s in terms)
+        # a mixture that overflowed stays out of the stack, for DensityMatrix to refuse
+        rows = (stack, acc[None]) if np.isfinite(acc).all() else (stack,)
+        found = _violations_per_state(np.concatenate(rows), self.require_psd)
+        for position, violations in enumerate(found[: len(terms)], start=1):
+            _refuse_any(violations, f"term {position}: ")
         total = sum(w for w, _ in terms)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ShapeError(f"term weights sum to {total!r}, not 1")
+        _refuse_any(found[-1])  # the mixture's row; if it overflowed, the last term's (empty)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_stack", stack)
-        acc = sum(w * s.matrix for w, s in terms)
-        object.__setattr__(self, "_mixture", validate(acc, dims, require_psd=self.require_psd))
+        object.__setattr__(self, "_stack", DensityMatrix(stack, dims))
+        object.__setattr__(self, "_mixture", DensityMatrix(acc, dims))
 
     def mixture(self) -> DensityMatrix:
         return self._mixture
@@ -197,18 +203,11 @@ def ensemble_bound(ens: TripartiteEnsemble):
     return _ceilings(ens, (ens.singled_out,))[0]
 
 
-def _report(singled_out: str, lhs: float, rhs: float, breakdown: tuple) -> TripartiteReport:
-    margin = lhs - rhs
+def _report(singled_out: str, lhs: float, rhs: float, terms: tuple) -> TripartiteReport:
+    margin, verdict = _decide(lhs, rhs)
+    pair = PAIR_LABELS[singled_out]
     return TripartiteReport(
-        criterion="ensemble-bound",
-        singled_out=singled_out,
-        pair=PAIR_LABELS[singled_out],
-        lhs=float(lhs),
-        rhs=rhs,
-        margin=float(margin),
-        verdict=Verdict.ENTANGLED if margin > DETECTION_TOLERANCE else Verdict.INCONCLUSIVE,
-        tolerance=DETECTION_TOLERANCE,
-        terms=breakdown,
+        "ensemble-bound", singled_out, pair, lhs, rhs, margin, verdict, DETECTION_TOLERANCE, terms
     )
 
 

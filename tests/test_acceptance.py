@@ -10,16 +10,20 @@ docs/decisions/0001-criteria-6-7.md, discusses why the defect is in the
 inequalities themselves, not in this implementation. Two unnumbered
 tests back that record: a ledger that pins criterion 6's exact counts,
 so drift fails on its own, and an exact rational certificate of its two
-minimal counterexamples. Criterion 8 turns the same corpora into the
-empirical rate report. Criteria 9-10 cover the exact operator algebra
-and the numeric kernels.
+minimal counterexamples. A third, the headroom ledger, keeps every corpus
+verdict clear of its threshold. Criterion 8 turns the same corpora into
+the empirical rate report and compares it byte for byte with the
+committed reports/detection_rates.json. Criteria 9-10 cover the exact
+operator algebra and the numeric kernels.
 
 Each test registers a one-line PASS/FAIL verdict that the conftest hook
 replays at the end of the run.
 
-Tolerances, pinned once here: grid regressions 1e-10 (lhs) / 1e-9 (rhs
-where the value is a two-term surd sum), equality lines 1e-12, oracle
-PPT window -1e-10, detection margin 1e-10, exact-algebra assertions 0.
+The oracle's PPT window is -PPT_TOL and the detection margin is
+DETECTION_TOLERANCE, both from cohdet.tolerances. The regression
+tolerances are this module's own: grid regressions 1e-10 (lhs) / 1e-9
+(rhs where the value is a two-term surd sum), equality lines 1e-12,
+exact-algebra assertions 0.
 """
 
 import json
@@ -47,6 +51,7 @@ from cohdet.families import build_family
 from cohdet.gellmann import build_basis
 from cohdet.linalg import hermitian_eigenvalues, tensor_product
 from cohdet.states import DensityMatrix, partial_trace, random_density, random_separable
+from cohdet.tolerances import DETECTION_TOLERANCE, PPT_TOL
 from cohdet.tripartite import TripartiteEnsemble, ensemble_bound_check
 
 GENERIC_BASES = {2: 60000, 3: 70000}
@@ -336,6 +341,30 @@ def test_known_red_ledger_of_criterion_06(generic_corpora):
     assert flags == CRITERION_06_LEDGER["flags"]
 
 
+# Smallest distance a counted verdict may keep from its threshold.
+HEADROOM_FLOOR = 1e-9
+
+
+def test_headroom_ledger(generic_corpora):
+    """Every corpus verdict stays clear of its threshold by more than HEADROOM_FLOOR.
+
+    The smallest distances measured when this was written are 1.43e-5
+    (block-trace, 2x2) for a detector margin from DETECTION_TOLERANCE and
+    5.75e-6 (2x3) for an oracle eigenvalue from -PPT_TOL. A change of eigen
+    route or summation order that drives one below the floor fails here
+    before it can flip a count of criterion 6 or 8.
+    """
+    close = {}
+    for d, records in sorted(generic_corpora.items()):
+        for name in records[0][1]:
+            margins = np.array([reports[name].margin for _, reports, _ in records])
+            close[f"{name} 2x{d}"] = float(np.abs(margins - DETECTION_TOLERANCE).min())
+        eigenvalues = np.array([oracle.min_eigenvalue for _, _, oracle in records])
+        close[f"ppt 2x{d}"] = float(np.abs(eigenvalues + PPT_TOL).min())
+    below = {name: value for name, value in close.items() if not value > HEADROOM_FLOOR}
+    assert not below, f"verdicts within {HEADROOM_FLOOR} of their threshold: {below}"
+
+
 def exact_sqrt(q: Fraction) -> Fraction:
     root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
     assert root * root == q, f"{q} is not the square of a rational"
@@ -424,7 +453,7 @@ def test_decision_record_certificate(matrix, products):
     assert (trace.lhs, trace.rhs) == pytest.approx((1 / 8, 1 / 8), abs=1e-12)
 
 
-def test_criterion_08_detection_rate_report(generic_corpora):
+def test_criterion_08_detection_rate_report(generic_corpora, tmp_path):
     corpora_doc = {}
     for d, records in sorted(generic_corpora.items()):
         npt = sum(1 for _, _, oracle in records if not oracle.is_ppt)
@@ -456,11 +485,12 @@ def test_criterion_08_detection_rate_report(generic_corpora):
             "ppt": ppt,
             "checks": checks,
         }
-    REPORTS_DIR.mkdir(exist_ok=True)
-    out_path = REPORTS_DIR / "detection_rates.json"
+    committed = REPORTS_DIR / "detection_rates.json"
+    out_path = tmp_path / "detection_rates.json"
     with out_path.open("w") as handle:
         json.dump({"corpora": corpora_doc}, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    matches = out_path.read_bytes() == committed.read_bytes()
 
     fixture_errors = []
 
@@ -488,15 +518,16 @@ def test_criterion_08_detection_rate_report(generic_corpora):
     if below.verdict is Verdict.ENTANGLED or above.verdict is not Verdict.ENTANGLED:
         fixture_errors.append("x22 threshold drifted")
 
-    ok = out_path.exists() and not fixture_errors
+    ok = matches and not fixture_errors
     q22 = corpora_doc["2x2"]["checks"]["qubit-coherence"]
     record_criterion(
         8, "rate-report", ok,
-        f"wrote {out_path.relative_to(REPORTS_DIR.parent)}; 2x2 qubit-coherence "
+        f"{'matches' if matches else 'differs from'} "
+        f"{committed.relative_to(REPORTS_DIR.parent)}; 2x2 qubit-coherence "
         f"detects {q22['detected_npt']}/{corpora_doc['2x2']['npt']} NPT, flags "
         f"{q22['flagged_ppt']}/{corpora_doc['2x2']['ppt']} PPT",
     )
-    assert out_path.exists()
+    assert matches, f"the rate report differs from {committed}; inspect {out_path}"
     assert not fixture_errors, fixture_errors
 
 

@@ -11,7 +11,9 @@ import csv
 import hashlib
 import json
 import math
+import runpy
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ from cohdet.errors import ParseError, shown
 from cohdet.states import random_density
 
 CLI_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli.json"
+# The benchmark's independent numpy recomputation, run from its source so
+# that nothing is written next to it.
+REFERENCE = SimpleNamespace(**runpy.run_path(str(CLI_GOLDEN.parents[1] / "reference.py")))
 
 FIXTURE_NAMES = [
     "bell_pair.json",
@@ -128,7 +133,7 @@ class TestEnsembleFiles:
         path.write_text(json.dumps({**doc, "require_psd": waiver}))
         code, _, err = run(capsys, "ensemble", "--file", str(path))
         if waiver:
-            assert code == 2 and err.startswith(f"error: {path}: not positive semidefinite")
+            assert code == 2 and err.startswith(f"error: {path}: term 1: not positive semidefinite")
         else:
             assert code == 0 and err == ""
 
@@ -343,6 +348,18 @@ class TestEnsembleCommand:
         code, _, err = run(capsys, "ensemble", "--file", str(path))
         assert code == 2
         assert "sum" in err
+
+    def test_a_non_hermitian_term_is_named(self, tmp_path, capsys):
+        ket0 = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+        state = [[[1.0 if i == j == 0 else 0.0, 0.0] for j in range(8)] for i in range(8)]
+        state[0][1] = [0.5, 0.0]
+        terms = [{"weight": 0.5, "ket": ket0}, {"weight": 0.5, "state": state}]
+        doc = {"dims": [2, 2, 2], "terms": terms}
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ensemble", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: term 2: not Hermitian: max |m - m^H| entry is 5.000e-01\n"
 
 
 class TestScan:
@@ -804,3 +821,39 @@ class TestMalformedInputFuzz:
         assert_refused(capsys, "scan", "--family", "xstate24", "--param", "a",
                        f"--range={bad_range}", "--criteria", "all", "--out", str(out))
         assert not out.exists()
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(d=st.sampled_from([2, 3, 4]), rank=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_analyze_agrees_with_the_benchmark_reference(tmp_path, capsys, d, rank, seed):
+    """``analyze --format json`` on a seeded 2xd state, against bench/reference.py.
+
+    Sides within the reference's lhs and rhs tolerances, verdicts wherever
+    the reference margin is clear of its dead-band, and the PPT minimum
+    within its eigenvalue tolerance (the oracle row exists for 2x2 and 2x3).
+    """
+    state = random_density((2, d), rank=(rank - 1) % (2 * d) + 1, seed=seed)
+    path = tmp_path / "state.json"
+    write_state(state, path)
+    code, out, _ = run(capsys, "analyze", "--state", str(path), "--format", "json")
+    assert code == 0
+    document = json.loads(out)
+    want = REFERENCE.bipartite(state.matrix)
+    entries = {e["criterion"]: e for e in document["criteria"] if "unsupported" not in e}
+    assert entries.keys() == want["sides"].keys()
+    for name, (lhs, rhs) in want["sides"].items():
+        entry = entries[name]
+        assert abs(entry["lhs"] - lhs) <= REFERENCE.LHS_TOL, name
+        assert abs(entry["rhs"] - rhs) <= REFERENCE.RHS_TOL, name
+        fired = REFERENCE.expect_fired(lhs, rhs)
+        if fired is not None:
+            assert (entry["verdict"] == "Entangled") == fired, name
+    if d == 4:
+        assert "ppt" not in document
+        return
+    ppt = document["ppt"]
+    assert abs(ppt["min_eigenvalue"] - want["ppt_min"]) <= REFERENCE.EIG_TOL
+    if abs(want["ppt_min"] + REFERENCE.PPT_TOL) > REFERENCE.DEADBAND:
+        assert ppt["is_ppt"] == (want["ppt_min"] >= -REFERENCE.PPT_TOL)

@@ -23,7 +23,7 @@ from cohdet.errors import (
     ShapeError,
     ValidationError,
 )
-from cohdet.linalg import MAX_DIMENSION, tensor_product
+from cohdet.linalg import tensor_product
 from cohdet.states import (
     RNG_SCHEME,
     DensityMatrix,
@@ -34,6 +34,7 @@ from cohdet.states import (
     state_violations,
     validate,
 )
+from cohdet.tolerances import MAX_DIMENSION
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data"
 

@@ -22,7 +22,9 @@ from cohdet.errors import (
     NegativeRadicandError,
     NoQubitInPairError,
     NotConvergedError,
+    NotHermitianError,
     NotPositiveError,
+    NotUnitTraceError,
     ShapeError,
 )
 from cohdet.families import build_family
@@ -306,18 +308,18 @@ class TestSharedSurvey:
     """The survey reuses the ensemble certified at construction for every bipartition."""
 
     def test_survey_validates_nothing_again(self, monkeypatch):
-        calls = []
-        real = tripartite.validate
+        shapes = []
+        real = tripartite._violations_per_state
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(m, require_psd):
+            shapes.append(m.shape)
+            return real(m, require_psd)
 
-        monkeypatch.setattr(tripartite, "validate", counting)
+        monkeypatch.setattr(tripartite, "_violations_per_state", counting)
         ens = build_family("puremix", p=0.5)
-        assert len(ens.terms) == 2 and len(calls) == 2  # the term stack, then the mixture
+        assert len(ens.terms) == 2 and shapes == [(3, 8, 8)]  # the terms and the mixture, at once
         all_bipartitions_check(ens)
-        assert len(calls) == 2
+        assert shapes == [(3, 8, 8)]
 
     @pytest.mark.parametrize("name", sorted(SURVEYED))
     def test_reports_match_the_per_term_recipe(self, name):
@@ -479,6 +481,29 @@ class TestEnsembleValidation:
             dims=(2, 2, 2), terms=((1.0, term),), singled_out="A", require_psd=False
         )
         assert np.linalg.eigvalsh(waived.mixture().matrix)[0] < -1e-10
+
+    def test_a_failing_term_is_named_from_one(self):
+        good = product_term(KET_ZERO, KET_ZERO, KET_ZERO).matrix
+        bad = good.copy()
+        bad[0, 1] = 0.5
+        with pytest.raises(NotHermitianError, match=r"^term 2: not Hermitian: .* 5\.000e-01$"):
+            TripartiteEnsemble((2, 2, 2), ((0.5, good), (0.5, bad)))
+
+    def test_a_failing_mixture_is_not_named(self):
+        # each term's trace is 0.99e-9 off and the weights sum to 1 + 8e-11, all
+        # within tolerance, yet the mixture's trace is 1.07e-9 off
+        term = np.diag([0.5 + 0.99e-9, 0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+        with pytest.raises(NotUnitTraceError, match=r"^trace is not 1: \|Tr - 1\| = 1\.070e-09$"):
+            TripartiteEnsemble((2, 2, 2), ((0.5 + 4e-11, term), (0.5 + 4e-11, term)))
+
+    def test_terms_are_judged_before_an_overflowing_mixture(self):
+        # three indefinite terms of weight 1 mix to an infinite entry; term 1
+        # is still refused first, with its own eigenvalue
+        m = np.diag([0.5, 0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+        m[0, 6] = m[6, 0] = 7e307
+        with np.errstate(over="ignore"):
+            with pytest.raises(NotPositiveError, match="^term 1: not positive semidefinite"):
+                TripartiteEnsemble((2, 2, 2), ((1.0, m),) * 3)
 
     def test_stacked_term_rejected_with_its_shape(self):
         stack = np.array([random_density((2, 2, 2), seed=s).matrix for s in range(3)])
