@@ -75,9 +75,5 @@ class NegativeRadicandError(ValueError):
     """
 
 
-class NotConvergedError(ValueError):
-    """An iterative eigen solver stopped before reaching its tolerance."""
-
-
 class ParseError(ValueError):
     """A state, ensemble, or sweep description could not be parsed."""

@@ -10,13 +10,10 @@ transpose act on a ``DensityMatrix`` and live in ``states``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotHermitianError, ShapeError, SizeError
-from .tolerances import HERMITICITY_TOL, JACOBI_MAX_SWEEPS, JACOBI_OFFDIAG_TOL, MAX_DIMENSION
+from .tolerances import HERMITICITY_TOL, MAX_DIMENSION
 
 
 def as_matrices(candidate) -> np.ndarray:
@@ -109,94 +106,38 @@ def _hermitian_part(m) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues in ascending order, ``(n,)`` or ``(N, n)`` for a stack, plus solver diagnostics.
+def lambda_min_2x2(m):
+    """Smallest eigenvalue of a Hermitian 2x2 matrix (each of a stack), by one Jacobi rotation.
 
-    For a stack, ``converged`` holds only if every matrix converged, and
-    ``sweeps_used`` is the largest count any matrix needed.
+    Input is checked as in ``lambda_min``. A phase makes the pivot m[0, 1]
+    real and the real Jacobi angle zeroes it, so the rotated diagonal is the
+    spectrum; a pivot below 1e-300 is not rotated. The operations and their
+    order are those of the Jacobi solver this replaced, whose bits the CLI
+    golden pins.
     """
-
-    eigenvalues: np.ndarray
-    converged: bool
-    sweeps_used: int
-
-
-def _off_mass(a: np.ndarray) -> np.ndarray:
-    total = np.sum(np.abs(a) ** 2, axis=(-2, -1))
-    return total - np.sum(np.abs(np.diagonal(a, axis1=-2, axis2=-1)) ** 2, axis=-1)
-
-
-def _jacobi_sweep(a: np.ndarray) -> np.ndarray:
-    """One cyclic sweep over every matrix of the stack ``a``, in place; which ones rotated."""
-    rotated = np.zeros(len(a), dtype=bool)
-    n = a.shape[-1]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            z = a[:, p, q]
-            # hypot is the scalar abs of a complex; the array abs loses bits against it
-            r = np.hypot(z.real, z.imag)
-            live = ~(r < 1e-300)
-            if not live.any():
-                continue
-            k = slice(None) if live.all() else np.flatnonzero(live)
-            z, r = z[k], r[k]
-            rotated[k] = True
-            phase = z / r
-            tau = (a[k, q, q].real - a[k, p, p].real) / (2.0 * r)
-            big = np.abs(tau) > 1e150
-            mild = np.where(big, 0.0, tau)  # tau*tau would overflow on the big ones
-            t = 1.0 / (np.abs(mild) + np.sqrt(1.0 + mild * mild))
-            t = np.where(tau < 0.0, -t, t)
-            if big.any():
-                t[big] = 0.5 / tau[big]  # asymptotic form
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            se = ((t * c) * phase)[:, None]
-            c = c[:, None]
-            col_p, col_q = a[k, :, p].copy(), a[k, :, q].copy()
-            a[k, :, p] = c * col_p - np.conj(se) * col_q
-            a[k, :, q] = se * col_p + c * col_q
-            row_p, row_q = a[k, p, :].copy(), a[k, q, :].copy()
-            a[k, p, :] = c * row_p - se * row_q
-            a[k, q, :] = np.conj(se) * row_p + c * row_q
-            a[k, p, q] = 0.0
-            a[k, q, p] = 0.0
-    return rotated
-
-
-def hermitian_eigenvalues(m, offdiag_tol=JACOBI_OFFDIAG_TOL, max_sweeps=JACOBI_MAX_SWEEPS) -> EigenResult:
-    """All eigenvalues of a Hermitian matrix, or of each matrix in a stack, by cyclic Jacobi.
-
-    Input is checked as in ``lambda_min``. Each sweep annihilates every
-    off-diagonal pair once with a unitary 2x2 rotation (a phase to make the
-    pivot real, then a real Jacobi angle). A matrix is done when the
-    Frobenius norm of its off-diagonal part drops below ``offdiag_tol``, or
-    after a sweep that found every off-diagonal entry below 1e-300 and so
-    rotated nothing; hitting ``max_sweeps`` first leaves the current
-    estimate with ``converged=False``. A stack is swept as one loop, each
-    matrix frozen once done, so every matrix gets the bits it gets alone.
-    Only the tripartite pair blocks still use it.
-    """
-    a = _hermitian_part(m)
-    stack = a.reshape((math.prod(a.shape[:-2]),) + a.shape[-2:])
-    threshold = float(offdiag_tol) ** 2
-    sweeps = np.zeros(len(stack), dtype=int)
-    converged = _off_mass(stack) <= threshold
-    active = np.flatnonzero(~converged)
-    while active.size and sweeps[active[0]] < max_sweeps:  # the active share one count
-        sub = stack[active]
-        rotated = _jacobi_sweep(sub)
-        stack[active] = sub
-        sweeps[active] += 1
-        # _off_mass is a difference of two sums whose roundoff can exceed the
-        # threshold; a sweep with nothing to rotate has left a matrix that no
-        # further sweep can change, so that is convergence too.
-        settled = ~rotated | (_off_mass(sub) <= threshold)
-        converged[active] = settled
-        active = active[~settled]
-    eigenvalues = np.sort(stack.diagonal(0, 1, 2).real, axis=-1).reshape(a.shape[:-1])
-    eigenvalues.setflags(write=False)
-    return EigenResult(eigenvalues, bool(converged.all()), int(sweeps.max(initial=0)))
+    h = _hermitian_part(m)
+    if h.shape[-2:] != (2, 2):
+        raise ShapeError(f"lambda_min_2x2 needs 2x2 matrices, got shape {h.shape}")
+    a00, a01, a10, a11 = h.reshape(-1, 4).T  # one matrix too: numpy's scalar math has other bits
+    # hypot is the scalar abs of a complex; the array abs loses bits against it
+    r = np.hypot(a01.real, a01.imag)
+    live = ~(r < 1e-300)
+    r = np.where(live, r, 1.0)  # a dead pivot is rotated by a stand-in, then ignored
+    phase = a01 / r
+    tau = (a11.real - a00.real) / (2.0 * r)
+    big = np.abs(tau) > 1e150
+    mild = np.where(big, 0.0, tau)  # tau*tau would overflow on the big ones
+    t = 1.0 / (np.abs(mild) + np.sqrt(1.0 + mild * mild))
+    t = np.where(tau < 0.0, -t, t)
+    t = np.where(big, 0.5 / np.where(big, tau, 1.0), t)  # the asymptotic form
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    se = (t * c) * phase
+    # the column update, then the row update, of which only the diagonal is kept
+    b00, b10 = c * a00 - np.conj(se) * a01, c * a10 - np.conj(se) * a11
+    b01, b11 = se * a00 + c * a01, se * a10 + c * a11
+    low = np.where(live, (c * b00 - se * b10).real, a00.real)
+    high = np.where(live, (np.conj(se) * b01 + c * b11).real, a11.real)
+    return item_or_array(np.minimum(low, high).reshape(h.shape[:-2]))
 
 
 def lambda_min(m):

@@ -82,7 +82,7 @@ def _violations(deviation: float, trace_error: float, smallest: float) -> list:
 def _violations_per_state(m: np.ndarray, require_psd: bool) -> list:
     deviation = linalg.hermiticity_deviation(m)
     trace_error = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    hermitian = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    hermitian = m / 2.0 + m.conj().swapaxes(-1, -2) / 2.0  # halving first cannot overflow
     smallest = np.linalg.eigvalsh(hermitian)[..., 0] if require_psd else np.zeros_like(trace_error)
     measures = np.column_stack((deviation, trace_error, smallest)).tolist()
     return [_violations(*point) for point in measures]

@@ -9,8 +9,6 @@ PSD_TOL = 1e-10  # a state's smallest eigenvalue may be as low as -PSD_TOL
 WEIGHT_TOL = 1e-10  # largest |sum of weights - 1| of an ensemble
 MINOR_SLACK = 1e-12  # roundoff that a family's positivity conditions on its minors forgive
 KET_NORM_TOL = 1e-9  # largest |norm - 1| of a ket in an ensemble file
-JACOBI_OFFDIAG_TOL = 1e-12  # off-diagonal Frobenius norm at which Jacobi calls a matrix diagonal
-JACOBI_MAX_SWEEPS = 100  # Jacobi sweeps before a solve is reported unconverged
 MAX_DIMENSION = 4096  # largest matrix order, product of dims and number of separable terms
 MAX_BASIS_DIMENSION = 32  # largest Gell-Mann basis dimension: d^2 - 1 matrices of d x d
 MAX_SCAN_POINTS = 100_000  # most points in a scan range

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .coherence import _off_diagonal_sum, l1_coherence
 from .criteria import BlockAnalysis, Verdict, _ceiling, _decide, _prefactor
-from .errors import NoQubitInPairError, NotConvergedError, ShapeError, shown
+from .errors import NoQubitInPairError, ShapeError, shown
 from .states import BlockDecomposition, DensityMatrix, _reduce, _refuse_any, _violations_per_state
 from .tolerances import DETECTION_TOLERANCE, WEIGHT_TOL
 
@@ -154,9 +154,9 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     neither in a DensityMatrix; both are still refused if not finite. The
     labels whose pair blocks share an order d are one stack: one
     ``BlockAnalysis`` gives its masses, the same that ``separable_bound``
-    reads, and one Jacobi call its block spectra. Every label's terms are
-    then laid out in label order and bounded by one ``_ceiling`` call, so
-    every bit, and every error, is what handling the labels one by one gives.
+    reads, and one call (``lambda_min_2x2`` if d = 2, else ``lambda_min``)
+    its block spectra. Every label's terms, in label order, are bounded by one
+    ``_ceiling`` call, so every bit and error is what labels one by one give.
     """
     m, dims = ens._stack.matrix, ens.dims
     groups, where = {}, []
@@ -173,16 +173,12 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
         pairs = np.concatenate([pair for _, pair in members])
         p, q, r = pairs[:, :d, :d], pairs[:, :d, d:], pairs[:, d:, d:]
         analysis = BlockAnalysis(pairs, BlockDecomposition(p, q, r))
-        # Jacobi, not lambda_min: the CLI golden pins these printed floats byte
-        # for byte; switch once CLI floats are compared within a tolerance.
-        solved = linalg.hermitian_eigenvalues(np.stack((p, r), axis=1).reshape(-1, d, d))
-        if not solved.converged:
-            raise NotConvergedError(f"Jacobi solver did not converge on the {d}x{d} pair blocks")
+        blocks = np.stack((p, r), axis=1).reshape(-1, d, d)
+        # eigvalsh's bits on 2x2 would break the CLI golden until it compares within a tolerance
+        lam = (linalg.lambda_min_2x2 if d == 2 else linalg.lambda_min)(blocks).reshape(-1, 2)
         coherence_x = _off_diagonal_sum(np.concatenate([single for single, _ in members]))
-        columns[d] = np.column_stack((
-            coherence_x, *analysis.masses, solved.eigenvalues[:, 0].reshape(-1, 2),
-            np.full(len(pairs), _prefactor(d)),
-        ))
+        prefactor = np.full(len(pairs), _prefactor(d))
+        columns[d] = np.column_stack((coherence_x, *analysis.masses, lam, prefactor))
     n = len(ens.terms)
     rows = np.concatenate([columns[d][k * n : (k + 1) * n] for d, k in where])
     coherence_x, p_norm_sq, r_norm_sq, diag_sq, lam_p, lam_r, prefactor = rows.T

@@ -49,7 +49,7 @@ from cohdet.criteria import (
 )
 from cohdet.families import build_family
 from cohdet.gellmann import build_basis
-from cohdet.linalg import hermitian_eigenvalues, tensor_product
+from cohdet.linalg import lambda_min, tensor_product
 from cohdet.states import DensityMatrix, partial_trace, random_density, random_separable
 from cohdet.tolerances import DETECTION_TOLERANCE, PPT_TOL
 from cohdet.tripartite import TripartiteEnsemble, ensemble_bound_check
@@ -580,10 +580,8 @@ def test_criterion_10_kernel_checks():
         m = (g + g.conj().T) / 2
         mid = (m[0, 0].real + m[1, 1].real) / 2
         half_gap = math.hypot((m[0, 0].real - m[1, 1].real) / 2, abs(m[0, 1]))
-        got = hermitian_eigenvalues(m).eigenvalues
-        worst_eig = max(
-            worst_eig, abs(got[0] - (mid - half_gap)), abs(got[1] - (mid + half_gap))
-        )
+        low, high = lambda_min(m), -lambda_min(-m)
+        worst_eig = max(worst_eig, abs(low - (mid - half_gap)), abs(high - (mid + half_gap)))
     if worst_eig > 1e-10:
         problems.append(f"eigensolver error {worst_eig:.2e}")
 

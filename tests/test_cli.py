@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import runpy
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -231,6 +232,18 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--state", str(bad),
                            "--criteria", "no-such-check")
         assert code == 2
+
+    def test_entries_near_the_float_limit_name_the_violation(self, tmp_path, capsys):
+        # The Hermitian part is halved before it is summed, so 1e308 + 1e308 never overflows.
+        path = tmp_path / "big.json"
+        matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        matrix[0][3] = matrix[3][0] = [1e308, 0.0]
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not positive semidefinite: min eigenvalue -1.000e+308\n"
 
     @pytest.mark.parametrize(
         "dims",

@@ -314,11 +314,11 @@ class TestSharedAnalysis:
         assert counts == {"block_decompose": 1, "lambda_min": 0}
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
-    def test_checks_do_not_use_the_jacobi_solver(self, monkeypatch, dims):
+    def test_checks_do_not_use_the_2x2_rotation(self, monkeypatch, dims):
         def forbidden(*args, **kwargs):
-            raise AssertionError("bipartite checks must not call hermitian_eigenvalues")
+            raise AssertionError("bipartite checks must not call lambda_min_2x2")
 
-        monkeypatch.setattr(linalg, "hermitian_eigenvalues", forbidden)
+        monkeypatch.setattr(linalg, "lambda_min_2x2", forbidden)
         state = random_density(dims, seed=31)
         for check in applicable(state):
             check(state)

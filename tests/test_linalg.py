@@ -1,8 +1,9 @@
 """Matrix kernel tests.
 
 Closed-form 2x2 eigenvalues serve as the independent reference for the
-Jacobi solver; everything else is checked against hand-expanded small
-cases or numpy's own primitives where those are not the unit under test.
+one-rotation 2x2 eigenvalue; everything else is checked against
+hand-expanded small cases or numpy's own primitives where those are not
+the unit under test.
 """
 
 import hashlib
@@ -18,13 +19,12 @@ from hypothesis import strategies as st
 from cohdet.errors import NotHermitianError, ShapeError, SizeError
 from cohdet.families import build_family
 from cohdet.linalg import (
-    JACOBI_MAX_SWEEPS,
     MAX_DIMENSION,
     as_matrices,
     as_matrix,
     frobenius_norm_sq,
-    hermitian_eigenvalues,
     lambda_min,
+    lambda_min_2x2,
     tensor_product,
     trace_product,
 )
@@ -54,6 +54,34 @@ def closed_form_2x2(m):
 def random_hermitian(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2.0
+
+
+def xstate24_r_corners():
+    """The 2x2 principal submatrices of xstate24's R block at a = 0.013, a diagonal 4x4."""
+    block = block_decompose(build_family("xstate24", a=0.013)).r
+    return [block[np.ix_(k, k)] for k in itertools.combinations(range(4), 2)]
+
+
+def edge_2x2():
+    """2x2 Hermitian matrices on each branch of the rotation."""
+    return np.array([
+        np.diag([0.5, 0.0]),  # half projector: a zero pivot
+        KET_PLUS_STATE,  # rank one, equal diagonal: tau = 0
+        [[0.0, 1e-200], [1e-200, 1.0]],  # asymptotic angle, shift underflows
+        [[0.25, 1e-160j], [-1e-160j, 0.75]],  # asymptotic angle, complex phase
+        [[0.7, 1e-310], [1e-310, 0.2]],  # dead pivot
+        [[0.3, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]],  # equal diagonal, complex pivot
+        [[0.0, 0.0], [0.0, -0.0]],  # zero matrix: the Hermitian part clears the sign
+        [[2e-9, 1e-9j], [-1e-9j, -3e-9]],  # 1e-9 scale
+        *xstate24_r_corners(),
+    ], dtype=complex)
+
+
+def digest_2x2_stack():
+    """Seeded random 2x2 stacks at three scales, then the edge rows."""
+    rng = np.random.default_rng(901)
+    rows = [random_hermitian(rng, 2) * scale for scale in (1.0, 1e-9, 1e6) for _ in range(300)]
+    return np.concatenate([np.array(rows), edge_2x2()])
 
 
 class TestTensorProduct:
@@ -203,26 +231,19 @@ class TestPartialTranspose:
             partial_transpose(DensityMatrix(np.stack([np.eye(6)] * 2), (2, 3)))
 
 
-class TestHermitianEigenvalues:
+class TestLambdaMin2x2:
     def test_half_projector(self):
-        result = hermitian_eigenvalues(np.diag([0.5, 0.0]))
-        np.testing.assert_allclose(result.eigenvalues, [0.0, 0.5], atol=1e-15)
-        assert result.converged
-
-    def test_identity(self):
-        result = hermitian_eigenvalues(np.eye(5))
-        np.testing.assert_allclose(result.eigenvalues, np.ones(5), atol=1e-15)
+        assert lambda_min_2x2(np.diag([0.5, 0.0])) == 0.0
 
     def test_rank_one_half_matrix(self):
-        result = hermitian_eigenvalues(KET_PLUS_STATE)
-        np.testing.assert_allclose(result.eigenvalues, [0.0, 1.0], atol=1e-15)
+        assert lambda_min_2x2(KET_PLUS_STATE) == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("solve", [hermitian_eigenvalues, lambda_min], ids=["jacobi", "lapack"])
+    @pytest.mark.parametrize("solve", [lambda_min_2x2, lambda_min], ids=["rotation", "lapack"])
     def test_rejects_non_hermitian(self, solve):
         with pytest.raises(NotHermitianError, match=r"max \|m - m\^H\| entry is 1\.000e\+00"):
             solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("solve", [hermitian_eigenvalues, lambda_min], ids=["jacobi", "lapack"])
+    @pytest.mark.parametrize("solve", [lambda_min_2x2, lambda_min], ids=["rotation", "lapack"])
     def test_rejects_non_square(self, solve):
         with pytest.raises(ShapeError, match="square"):
             solve(np.zeros((2, 3)))
@@ -232,89 +253,108 @@ class TestHermitianEigenvalues:
         for _ in range(1000):
             m = random_hermitian(rng, 2)
             low, high = closed_form_2x2(m)
-            got = hermitian_eigenvalues(m).eigenvalues
-            assert abs(got[0] - low) < 1e-10
-            assert abs(got[1] - high) < 1e-10
+            assert abs(lambda_min_2x2(m) - low) < 1e-10
+            assert abs(-lambda_min_2x2(-m) - high) < 1e-10
 
     def test_sum_is_trace_product_is_determinant(self):
         rng = np.random.default_rng(13)
-        for n in (2, 3):
-            for _ in range(50):
-                m = random_hermitian(rng, n)
-                vals = hermitian_eigenvalues(m).eigenvalues
-                assert abs(vals.sum() - np.trace(m).real) < 1e-10
-                assert abs(np.prod(vals) - np.linalg.det(m).real) < 1e-8
-
-    def test_ascending_order_and_read_only(self):
-        rng = np.random.default_rng(17)
-        result = hermitian_eigenvalues(random_hermitian(rng, 8))
-        assert np.all(np.diff(result.eigenvalues) >= 0)
-        assert not result.eigenvalues.flags.writeable
-        assert 0 < result.sweeps_used <= JACOBI_MAX_SWEEPS
+        for _ in range(50):
+            m = random_hermitian(rng, 2)
+            low, high = lambda_min_2x2(m), -lambda_min_2x2(-m)
+            assert abs(low + high - np.trace(m).real) < 1e-10
+            assert abs(low * high - np.linalg.det(m).real) < 1e-8
 
     def test_tiny_offdiagonal_against_split_diagonal(self):
         # A rotation angle computed naively from this matrix overflows in
-        # the cotangent square; the solver must take the asymptotic branch.
+        # the cotangent square; the rotation must take the asymptotic branch.
         m = np.array([[0.0, 1e-200], [1e-200, 1.0]], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = hermitian_eigenvalues(m)
-        np.testing.assert_allclose(result.eigenvalues, [0.0, 1.0], atol=1e-12)
+            assert lambda_min_2x2(m) == pytest.approx(0.0, abs=1e-12)
 
-    def test_agrees_with_numpy_on_larger_matrices(self):
-        rng = np.random.default_rng(23)
-        for n in (4, 8, 16):
-            m = random_hermitian(rng, n)
-            got = hermitian_eigenvalues(m).eigenvalues
-            np.testing.assert_allclose(got, np.linalg.eigvalsh(m), atol=1e-10)
+    def test_asymptotic_angle_keeps_the_shift(self):
+        # tau is 5e154, so tau*tau would overflow; 0.5/tau gives the shift 1e-310
+        m = np.array([[1e-300, -1e-155], [-1e-155, 1.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lambda_min_2x2(m)
+        assert got == pytest.approx(1e-300 - 1e-310, rel=1e-12)
+        assert got < 1e-300
+
+    def test_dead_pivot_returns_the_smaller_diagonal_entry(self):
+        for pivot in (0.0, 1e-310, 9e-301j):
+            m = np.array([[0.7, pivot], [np.conj(pivot), 0.2]], dtype=complex)
+            assert lambda_min_2x2(m) == 0.2
+            assert lambda_min_2x2(m[::-1, ::-1]) == 0.2
+
+    def test_a_pivot_below_the_old_stopping_rule_still_rotates(self):
+        # Its off-diagonal mass rounds to zero beside the diagonal's, so a
+        # solver that stops on that mass leaves it alone; the rotation finds
+        # the 2e-18 shift of the small eigenvalue.
+        m = np.array([[1e-6, 1e-9], [1e-9, 0.5]], dtype=complex)
+        got = lambda_min_2x2(m)
+        assert got != 1e-6
+        assert abs(got - np.linalg.eigvalsh(m)[0]) < 1e-21
 
     @settings(max_examples=60, deadline=None)
     @given(
         entries=st.lists(
             st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-            min_size=9,
-            max_size=9,
+            min_size=4,
+            max_size=4,
         )
     )
-    def test_hypothesis_3x3_matches_numpy(self, entries):
-        raw = np.array(entries[:9], dtype=float)
-        m = raw.reshape(3, 3) + 1j * np.diag([0.0, 0.0, 0.0])
-        m = (m + m.conj().T) / 2.0
-        got = hermitian_eigenvalues(m).eigenvalues
-        np.testing.assert_allclose(got, np.linalg.eigvalsh(m), atol=1e-9)
+    def test_hypothesis_matches_numpy(self, entries):
+        a, d, re, im = entries
+        m = np.array([[a, complex(re, im)], [complex(re, -im), d]])
+        assert abs(lambda_min_2x2(m) - np.linalg.eigvalsh(m)[0]) < 1e-9
 
-    def test_diagonal_block_stops_after_an_idle_sweep(self):
-        # The R block of xstate24 at a = 0.013 is diagonal, but the off-diagonal
-        # mass, a difference of two sums, rounds to more than the threshold.
+    def test_agrees_with_numpy_on_a_seeded_stack(self):
+        rng = np.random.default_rng(907)
+        stack = np.concatenate([[random_hermitian(rng, 2) for _ in range(500)], edge_2x2()])
+        np.testing.assert_allclose(
+            lambda_min_2x2(stack), np.linalg.eigvalsh(stack)[:, 0], rtol=0, atol=1e-12
+        )
+
+    def test_diagonal_block_is_its_smallest_diagonal_entry(self):
+        # The R block of xstate24 at a = 0.013 is diagonal, though its
+        # off-diagonal mass, a difference of two sums, does not round to zero.
         block = block_decompose(build_family("xstate24", a=0.013)).r
-        result = hermitian_eigenvalues(block)
-        assert result.converged
-        assert result.sweeps_used <= 1
-        assert np.array_equal(result.eigenvalues, np.sort(np.diag(block).real))
+        assert lambda_min(block) == np.diag(block).real.min()
+        for corner in xstate24_r_corners():
+            assert lambda_min_2x2(corner) == np.diag(corner).real.min()
 
     def test_bits_match_the_recorded_digest(self):
-        # Recorded from the solver when it took one matrix at a time. An array
-        # abs of the pivot, for one, changes about a fifth of the 2x2 results.
-        digest = hashlib.sha256()
-        for n in range(1, 9):
-            rng = np.random.default_rng(900 + n)
-            for _ in range(25):
-                result = hermitian_eigenvalues(random_hermitian(rng, n))
-                digest.update(result.eigenvalues.tobytes() + bytes([result.converged, result.sweeps_used]))
-        assert digest.hexdigest() == "c3f1a57fce5ffeefbefc3f8d98e98b4b553c54330b1a3af555f1660da3042078"
+        # Recorded from the smallest eigenvalues of the cyclic Jacobi solver
+        # that this rotation replaced, on the same stack.
+        values = lambda_min_2x2(digest_2x2_stack())
+        digest = hashlib.sha256(values.tobytes()).hexdigest()
+        assert digest == "a94e72b76473931c7bda473a74df6b781e72a19e4a4c10c2e310f0e7500112c7"
+
+    def test_rejects_nan_and_other_orders(self):
+        with pytest.raises(ShapeError, match="NaN"):
+            lambda_min_2x2(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for shape in ((3, 3), (4, 3, 3), (1, 1), (0, 0)):
+            with pytest.raises(ShapeError, match="2x2"):
+                lambda_min_2x2(np.eye(shape[-1]) * np.ones(shape))
+
+    def test_an_empty_stack_gives_an_empty_array(self):
+        got = lambda_min_2x2(np.zeros((0, 2, 2)))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+class TestLambdaMin:
+    def test_identity(self):
+        assert lambda_min(np.eye(5)) == pytest.approx(1.0, abs=1e-15)
 
     def test_lambda_min_shortcut(self):
         assert lambda_min(np.diag([0.4, -0.1, 0.7])) == pytest.approx(-0.1, abs=1e-14)
 
-
-class TestLambdaMin:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_agrees_with_jacobi(self, n):
-        rng = np.random.default_rng(300 + n)
+    def test_agrees_with_the_rotation(self):
+        rng = np.random.default_rng(302)
         for _ in range(20):
-            m = random_hermitian(rng, n)
-            jacobi = hermitian_eigenvalues(m).eigenvalues[0]
-            assert abs(lambda_min(m) - jacobi) < 1e-12
+            m = random_hermitian(rng, 2)
+            assert abs(lambda_min(m) - lambda_min_2x2(m)) < 1e-12
 
     def test_leaves_argument_unchanged(self):
         m = random_hermitian(np.random.default_rng(29), 4)
@@ -322,6 +362,9 @@ class TestLambdaMin:
         before = m.copy()
         lambda_min(m)
         assert np.array_equal(m, before)
+        m2 = m[:2, :2].copy()
+        lambda_min_2x2(m2)
+        assert np.array_equal(m2, before[:2, :2])
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
     def test_empty_matrix_is_a_shape_error(self, shape):
@@ -355,6 +398,7 @@ class TestStacks:
     def test_a_single_matrix_gives_python_scalars(self):
         m = random_hermitian(np.random.default_rng(47), 3)
         assert type(lambda_min(m)) is float
+        assert type(lambda_min_2x2(m[:2, :2])) is float
         assert type(frobenius_norm_sq(m)) is float
         assert type(trace_product(m, m)) is complex
 
@@ -372,33 +416,16 @@ class TestStacks:
         with pytest.raises(ShapeError, match="NaN"):
             as_matrices(np.full((2, 2, 2), np.nan))
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_stacked_jacobi_gives_each_matrix_its_own_bits(self, n):
-        rng = np.random.default_rng(800 + n)
-        tiny = np.diag(np.arange(n, dtype=complex))
-        if n > 1:
-            tiny[0, 1] = tiny[1, 0] = 1e-200  # below the rotation floor: skipped
-        vectors = rng.standard_normal((4, 2, n)) + 1j * rng.standard_normal((4, 2, n))
+    def test_stacked_rotation_gives_each_matrix_its_own_bits(self):
+        rng = np.random.default_rng(802)
+        vectors = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
         low_rank = [sum(np.outer(v, v.conj()) for v in pair[:k]) for pair in vectors for k in (1, 2)]
-        full_rank = [random_hermitian(rng, n) for _ in range(6)]
-        stack = np.array(low_rank + full_rank + [np.diag(rng.standard_normal(n)), np.eye(n), tiny])
-        result = hermitian_eigenvalues(stack)
-        alone = [hermitian_eigenvalues(m) for m in stack]
-        assert result.eigenvalues.shape == (len(stack), n)
-        assert same_bits(result.eigenvalues, [r.eigenvalues for r in alone])
-        assert result.converged is all(r.converged for r in alone)
-        assert result.sweeps_used == max(r.sweeps_used for r in alone)
-        assert type(result.sweeps_used) is int
-
-    def test_capped_stack_reports_unconverged(self):
-        rng = np.random.default_rng(61)
-        stack = np.array([random_hermitian(rng, 4) for _ in range(5)] + [np.eye(4)])
-        result = hermitian_eigenvalues(stack, max_sweeps=1)
-        alone = [hermitian_eigenvalues(m, max_sweeps=1) for m in stack]
-        assert same_bits(result.eigenvalues, [r.eigenvalues for r in alone])
-        assert [r.converged for r in alone] == [False] * 5 + [True]
-        assert result.converged is False
-        assert result.sweeps_used == 1
+        full_rank = [random_hermitian(rng, 2) for _ in range(6)]
+        stack = np.array(low_rank + full_rank + [np.diag(rng.standard_normal(2)), np.eye(2)])
+        stack = np.concatenate([stack, edge_2x2()])
+        got = lambda_min_2x2(stack)
+        assert got.shape == (len(stack),)
+        assert same_bits(got, [lambda_min_2x2(m) for m in stack])
 
     def test_partial_trace_of_a_stack_is_per_matrix(self):
         for dims in ((2, 2, 2), (2, 3, 2), (3, 2, 3)):

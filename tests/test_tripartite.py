@@ -21,14 +21,13 @@ from cohdet.criteria import separable_bound
 from cohdet.errors import (
     NegativeRadicandError,
     NoQubitInPairError,
-    NotConvergedError,
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
     ShapeError,
 )
 from cohdet.families import build_family
-from cohdet.linalg import frobenius_norm_sq, hermitian_eigenvalues, tensor_product
+from cohdet.linalg import frobenius_norm_sq, lambda_min, lambda_min_2x2, tensor_product
 from cohdet.states import (
     DensityMatrix,
     block_decompose,
@@ -274,6 +273,11 @@ def reference_pair(state, label):
     return pair
 
 
+def pair_route(d):
+    """The eigen route of d x d pair blocks: one rotation for 2x2, LAPACK above."""
+    return lambda_min_2x2 if d == 2 else lambda_min
+
+
 def per_term_ceiling(ens, label):
     """The ceiling for one singled-out label, term by term and one matrix at a time."""
     ix = "ABC".index(label)
@@ -285,8 +289,7 @@ def per_term_ceiling(ens, label):
         d = pair.dim // 2
         diag_sq = float((np.abs(pair.matrix.diagonal()) ** 2).sum())
         p_norm_sq, r_norm_sq = frobenius_norm_sq(blocks.p), frobenius_norm_sq(blocks.r)
-        lam_p = float(hermitian_eigenvalues(blocks.p).eigenvalues[0])
-        lam_r = float(hermitian_eigenvalues(blocks.r).eigenvalues[0])
+        lam_p, lam_r = pair_route(d)(blocks.p), pair_route(d)(blocks.r)
         prefactor = math.sqrt(2.0 * d * (d - 1))
         ceiling = prefactor * (
             clamped_sqrt(p_norm_sq + r_norm_sq - diag_sq)
@@ -350,7 +353,7 @@ class TestSharedSurvey:
 
     def test_one_coercion_per_survey(self, monkeypatch):
         # the reduced factors and pairs are read as they come from the kernel;
-        # only the Jacobi input check still coerces
+        # only the eigen route's input check still coerces
         calls = []
         real = linalg.as_matrices
 
@@ -390,56 +393,52 @@ class TestPairAnalysis:
 
 
 class TestPairBlockEigenRoute:
-    """The pair-block lambda_min values come from one stacked Jacobi call per block order."""
+    """The pair-block lambda_min values come from one stacked ``pair_route`` call per block order."""
 
     @staticmethod
     def recorded_calls(monkeypatch):
         calls = []
-        real = linalg.hermitian_eigenvalues
+        for real in (lambda_min, lambda_min_2x2):
+            def recorder(m, real=real):
+                calls.append((real.__name__, np.shape(m)))
+                return real(m)
 
-        def recorder(m, *args, **kwargs):
-            calls.append(np.shape(m))
-            return real(m, *args, **kwargs)
-
-        monkeypatch.setattr(linalg, "hermitian_eigenvalues", recorder)
-        return calls, real
+            monkeypatch.setattr(linalg, real.__name__, recorder)
+        return calls
 
     @staticmethod
-    def assert_fresh_jacobi_values(ens, label, terms, solve):
+    def assert_fresh_values(ens, label, terms):
         for term, (_, state) in zip(terms, ens.terms):
-            blocks = block_decompose(reference_pair(state, label))
-            assert term.lambda_min_p == solve(blocks.p).eigenvalues[0]
-            assert term.lambda_min_r == solve(blocks.r).eigenvalues[0]
+            pair = reference_pair(state, label)
+            solve, blocks = pair_route(pair.dim // 2), block_decompose(pair)
+            assert exact((term.lambda_min_p, term.lambda_min_r)) == exact(
+                (solve(blocks.p), solve(blocks.r))
+            )
+
+    @staticmethod
+    def expected_calls(ens, labels):
+        orders = [reference_pair(ens.terms[0][1], label).dim // 2 for label in labels]
+        n = 2 * len(ens.terms)
+        return sorted((pair_route(d).__name__, (n * orders.count(d), d, d)) for d in set(orders))
 
     @pytest.mark.parametrize("name", sorted(SURVEYED))
-    def test_one_jacobi_call_per_bound_with_identical_values(self, monkeypatch, name):
+    def test_one_route_call_per_bound_with_identical_values(self, monkeypatch, name):
         ens = SURVEYED[name]()
-        calls, real = self.recorded_calls(monkeypatch)
+        calls = self.recorded_calls(monkeypatch)
         _, terms = ensemble_bound(ens)
-        assert len(calls) == 1 and calls[0][0] == 2 * len(ens.terms)
-        self.assert_fresh_jacobi_values(ens, ens.singled_out, terms, real)
-
-    def test_an_unconverged_solve_is_refused(self, monkeypatch):
-        real = linalg.hermitian_eigenvalues
-
-        def capped(m, *args, **kwargs):
-            result = real(m, max_sweeps=0)
-            assert not result.converged  # puremix blocks have off-diagonal mass
-            return result
-
-        monkeypatch.setattr(linalg, "hermitian_eigenvalues", capped)
-        with pytest.raises(NotConvergedError, match="did not converge on the 2x2 pair blocks"):
-            all_bipartitions_check(build_family("puremix", p=0.5))
+        assert calls == self.expected_calls(ens, [ens.singled_out])
+        self.assert_fresh_values(ens, ens.singled_out, terms)
 
     @pytest.mark.parametrize("name", sorted(SURVEYED))
-    def test_one_jacobi_call_per_block_order_per_survey(self, monkeypatch, name):
+    def test_one_route_call_per_block_order_per_survey(self, monkeypatch, name):
         ens = SURVEYED[name]()
-        calls, real = self.recorded_calls(monkeypatch)
+        calls = self.recorded_calls(monkeypatch)
         survey = all_bipartitions_check(ens)
+        labels = [report.singled_out for report in survey.reports]
         assert len(calls) == (2 if ens.dims == (2, 2, 3) else 1)
-        assert sum(shape[0] for shape in calls) == 2 * len(ens.terms) * len(survey.reports)
+        assert sorted(calls) == self.expected_calls(ens, labels)
         for report in survey.reports:
-            self.assert_fresh_jacobi_values(ens, report.singled_out, report.terms, real)
+            self.assert_fresh_values(ens, report.singled_out, report.terms)
 
 
 class TestEnsembleValidation:
