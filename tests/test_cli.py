@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cohdet import linalg
 from cohdet.cli import (
     MAX_SCAN_POINTS,
     _parse_range,
@@ -373,6 +374,19 @@ class TestEnsembleCommand:
         code, out, err = run(capsys, "ensemble", "--file", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: term 2: not Hermitian: max |m - m^H| entry is 5.000e-01\n"
+
+    def test_a_failed_pair_block_solve_exits_two(self, tmp_path, capsys, monkeypatch):
+        # singling out A of a 2x2x3 ensemble leaves 3x3 pair blocks, solved by LAPACK
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(linalg, "lambda_min", failing)
+        ket = [[1.0, 0.0]] + [[0.0, 0.0]] * 11
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps({"dims": [2, 2, 3], "terms": [{"weight": 1.0, "ket": ket}]}))
+        code, out, err = run(capsys, "ensemble", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: Eigenvalues did not converge\n"
 
 
 class TestScan:

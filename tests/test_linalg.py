@@ -356,6 +356,14 @@ class TestLambdaMin:
             m = random_hermitian(rng, 2)
             assert abs(lambda_min(m) - lambda_min_2x2(m)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_agrees_with_the_general_eigensolver(self, n):
+        # np.linalg.eigvals (LAPACK geev) assumes no symmetry, so it is a second route
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            m = random_hermitian(rng, n)
+            assert abs(lambda_min(m) - np.linalg.eigvals(m).real.min()) < 1e-12
+
     def test_leaves_argument_unchanged(self):
         m = random_hermitian(np.random.default_rng(29), 4)
         m[0, 1] += 1e-12  # Hermitian within tolerance, but not exactly
@@ -416,13 +424,14 @@ class TestStacks:
         with pytest.raises(ShapeError, match="NaN"):
             as_matrices(np.full((2, 2, 2), np.nan))
 
-    def test_stacked_rotation_gives_each_matrix_its_own_bits(self):
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e6, 1e-150])
+    def test_stacked_rotation_gives_each_matrix_its_own_bits(self, scale):
         rng = np.random.default_rng(802)
         vectors = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
         low_rank = [sum(np.outer(v, v.conj()) for v in pair[:k]) for pair in vectors for k in (1, 2)]
         full_rank = [random_hermitian(rng, 2) for _ in range(6)]
         stack = np.array(low_rank + full_rank + [np.diag(rng.standard_normal(2)), np.eye(2)])
-        stack = np.concatenate([stack, edge_2x2()])
+        stack = np.concatenate([stack * scale, edge_2x2()])
         got = lambda_min_2x2(stack)
         assert got.shape == (len(stack),)
         assert same_bits(got, [lambda_min_2x2(m) for m in stack])

@@ -440,6 +440,22 @@ class TestPairBlockEigenRoute:
         for report in survey.reports:
             self.assert_fresh_values(ens, report.singled_out, report.terms)
 
+    @pytest.mark.parametrize("name", sorted(SURVEYED))
+    def test_a_failed_lapack_solve_is_a_value_error(self, monkeypatch, name):
+        # 2x2 blocks never reach LAPACK; a larger block's LinAlgError is not swallowed
+        ens = SURVEYED[name]()
+        expected = all_bipartitions_check(ens)
+
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(linalg, "lambda_min", failing)
+        if ens.dims == (2, 2, 2):
+            assert all_bipartitions_check(ens) == expected
+        else:
+            with pytest.raises(ValueError, match="did not converge"):
+                all_bipartitions_check(ens)
+
 
 class TestEnsembleValidation:
     def test_weights_must_sum_to_one(self):
