@@ -32,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .coherence import _off_diagonal_sum
-from .errors import NegativeRadicandError, ShapeError
+from .errors import NegativeRadicandError, NotFiniteError, ShapeError
 from .states import BlockDecomposition, DensityMatrix, block_decompose, partial_transpose
 from .tolerances import DETECTION_TOLERANCE, PPT_TOL, RADICAND_TOL
 
@@ -67,12 +67,22 @@ class PptVerdict:
 
 
 def _decide(lhs, rhs, quiet=Verdict.INCONCLUSIVE) -> tuple:
-    """(margin, verdict): Entangled where lhs - rhs > DETECTION_TOLERANCE, per state of a stack."""
+    """(margin, verdict): Entangled where lhs - rhs > DETECTION_TOLERANCE, per state of a stack.
+
+    A margin that is not finite comes from arithmetic that overflowed and gets
+    no verdict: it raises, naming the two sides of the first such state.
+    """
     margin = lhs - rhs
-    above = margin > DETECTION_TOLERANCE
-    if isinstance(above, np.ndarray):
-        return margin, np.where(above, Verdict.ENTANGLED, quiet)
-    return margin, Verdict.ENTANGLED if above else quiet
+    stack = isinstance(margin, np.ndarray)
+    if not (np.isfinite(margin).all() if stack else math.isfinite(margin)):
+        row = np.flatnonzero(~np.isfinite(margin))[0]
+        lhs, rhs = (np.broadcast_to(side, np.shape(margin)).flat[row] for side in (lhs, rhs))
+        raise NotFiniteError(
+            f"lhs - rhs is not finite: lhs {lhs:g}, rhs {rhs:g}; overflowed arithmetic has no verdict"
+        )
+    if stack:
+        return margin, np.where(margin > DETECTION_TOLERANCE, Verdict.ENTANGLED, quiet)
+    return margin, Verdict.ENTANGLED if margin > DETECTION_TOLERANCE else quiet
 
 
 def _report(criterion, lhs, rhs, *, quiet=Verdict.INCONCLUSIVE, notes=()) -> CriterionReport:

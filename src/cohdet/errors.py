@@ -75,5 +75,9 @@ class NegativeRadicandError(ValueError):
     """
 
 
+class NotFiniteError(ValueError):
+    """A comparison's arithmetic overflowed, so it gives no verdict."""
+
+
 class ParseError(ValueError):
     """A state, ensemble, or sweep description could not be parsed."""

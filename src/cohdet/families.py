@@ -32,13 +32,8 @@ class ParamSpec:
 class FamilySpec:
     name: str
     kind: str  # "state" or "ensemble"
-    dims: tuple
     parameters: tuple
-    summary: str
-    # False for constructions that are written down entrywise and leave the
-    # physical state space for some parameter values.
-    physical_everywhere: bool = True
-    build: callable = field(repr=False, default=None)
+    build: callable = field(repr=False)
 
     def parameter(self, name: str) -> ParamSpec:
         for p in self.parameters:
@@ -149,65 +144,27 @@ def _build_flagmix(v) -> TripartiteEnsemble:
     )
 
 
+# README's "Built-in families" table describes each family; a test holds it to these specs.
 FAMILIES = {
     spec.name: spec
     for spec in (
         FamilySpec(
-            name="xstate22",
-            kind="state",
-            dims=(2, 2),
-            parameters=(
+            "xstate22",
+            "state",
+            (
                 ParamSpec("a", 0.25, 0.0, 1.0),
                 ParamSpec("b", 0.25, 0.0, 1.0),
                 ParamSpec("d", 0.25, 0.0, 1.0),
                 ParamSpec("c", 0.0, -0.5, 0.5),
                 ParamSpec("f", 0.0, -0.5, 0.5),
             ),
-            summary="two-qubit X-shaped state; diagonal (a,b,d,1-a-b-d), "
-            "anti-diagonal couplings f (outer) and c (inner)",
-            build=_build_xstate22,
+            _build_xstate22,
         ),
-        FamilySpec(
-            name="xstate22-slice",
-            kind="state",
-            dims=(2, 2),
-            parameters=(ParamSpec("c", 0.0, 0.0, 0.25),),
-            summary="xstate22 with the diagonal pinned to 1/4 and c = f swept",
-            build=_build_xstate22_slice,
-        ),
-        FamilySpec(
-            name="xstate24",
-            kind="state",
-            dims=(2, 4),
-            parameters=(ParamSpec("a", 1.0, 0.0, 1.0),),
-            summary="2x4 state with three equal couplings a/(6a+1) on the anti-diagonal",
-            build=_build_xstate24,
-        ),
-        FamilySpec(
-            name="bellmix",
-            kind="ensemble",
-            dims=(2, 2, 2),
-            parameters=(ParamSpec("p", 0.5, 0.0, 1.0),),
-            summary="qubit-marked mixture of the two phase-opposite Bell pairs",
-            build=_build_bellmix,
-        ),
-        FamilySpec(
-            name="puremix",
-            kind="ensemble",
-            dims=(2, 2, 2),
-            parameters=(ParamSpec("p", 0.5, 0.0, 1.0),),
-            summary="mixture of two entangled three-qubit pure states",
-            build=_build_puremix,
-        ),
-        FamilySpec(
-            name="flagmix",
-            kind="ensemble",
-            dims=(2, 2, 2),
-            parameters=(ParamSpec("p", 0.5, 0.0, 1.0),),
-            summary="diagonal two-qubit factors marked by an indefinite qubit term",
-            physical_everywhere=False,
-            build=_build_flagmix,
-        ),
+        FamilySpec("xstate22-slice", "state", (ParamSpec("c", 0.0, 0.0, 0.25),), _build_xstate22_slice),
+        FamilySpec("xstate24", "state", (ParamSpec("a", 1.0, 0.0, 1.0),), _build_xstate24),
+        FamilySpec("bellmix", "ensemble", (ParamSpec("p", 0.5, 0.0, 1.0),), _build_bellmix),
+        FamilySpec("puremix", "ensemble", (ParamSpec("p", 0.5, 0.0, 1.0),), _build_puremix),
+        FamilySpec("flagmix", "ensemble", (ParamSpec("p", 0.5, 0.0, 1.0),), _build_flagmix),
     )
 }
 

@@ -84,14 +84,23 @@ def trace_product(a, b):
     return item_or_array((a * b.swapaxes(-1, -2)).sum(axis=(-2, -1)))
 
 
-def hermiticity_deviation(m):
-    """Largest |m - m^H| entry of a square matrix, or of each matrix in a stack."""
-    a = np.asarray(m)
-    return item_or_array(np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0))
+def hermitian_part(m) -> tuple:
+    """(m/2 + m^H/2, largest |m - m^H| entry) of a square matrix, or of each matrix in a stack.
+
+    Halving before the sum cannot overflow, and is exact in the normal range,
+    so the bits are those of (m + m^H) / 2 wherever that does not overflow.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    adjoint = m.conj().swapaxes(-1, -2)  # a fresh copy, halved in place below
+    deviation = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
+    adjoint /= 2.0
+    half = m / 2.0
+    half += adjoint
+    return half, deviation
 
 
 def _hermitian_part(m) -> np.ndarray:
-    """(m + m^H) / 2 of a square matrix or stack, the input check of both eigen routes.
+    """The Hermitian part of a square matrix or stack, the input check of both eigen routes.
 
     Hermiticity is required up to ``HERMITICITY_TOL`` on the worst entry;
     anything beyond that is rejected rather than silently symmetrized.
@@ -99,11 +108,11 @@ def _hermitian_part(m) -> np.ndarray:
     a = as_matrices(m)
     if a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"eigenvalues need a square matrix, got {a.shape}")
-    deviation = hermiticity_deviation(a)
+    h, deviation = hermitian_part(a)
     worst = first_flagged(deviation, deviation > HERMITICITY_TOL)
     if worst is not None:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m^H| entry is {worst:.3e}")
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    return h
 
 
 def lambda_min_2x2(m):

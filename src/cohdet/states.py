@@ -68,21 +68,21 @@ class DensityMatrix:
 
 
 def _violations(deviation: float, trace_error: float, smallest: float) -> list:
+    """(exception type, message) for each invariant one state's measures fail."""
     if deviation > HERMITICITY_TOL:
         # eigenvalues are meaningless past this point
-        return [f"not Hermitian: max |m - m^H| entry is {deviation:.3e}"]
+        return [(NotHermitianError, f"not Hermitian: max |m - m^H| entry is {deviation:.3e}")]
     found = []
     if trace_error > TRACE_TOL:
-        found.append(f"trace is not 1: |Tr - 1| = {trace_error:.3e}")
+        found.append((NotUnitTraceError, f"trace is not 1: |Tr - 1| = {trace_error:.3e}"))
     if smallest < -PSD_TOL:
-        found.append(f"not positive semidefinite: min eigenvalue {smallest:.3e}")
+        found.append((NotPositiveError, f"not positive semidefinite: min eigenvalue {smallest:.3e}"))
     return found
 
 
 def _violations_per_state(m: np.ndarray, require_psd: bool) -> list:
-    deviation = linalg.hermiticity_deviation(m)
+    hermitian, deviation = linalg.hermitian_part(m)
     trace_error = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    hermitian = m / 2.0 + m.conj().swapaxes(-1, -2) / 2.0  # halving first cannot overflow
     smallest = np.linalg.eigvalsh(hermitian)[..., 0] if require_psd else np.zeros_like(trace_error)
     measures = np.column_stack((deviation, trace_error, smallest)).tolist()
     return [_violations(*point) for point in measures]
@@ -97,7 +97,7 @@ def state_violations(matrix, dims, require_psd: bool = True) -> list:
     checked without a square matrix.
     """
     m = DensityMatrix(matrix, dims).matrix
-    per_state = _violations_per_state(m, require_psd)
+    per_state = [[text for _, text in found] for found in _violations_per_state(m, require_psd)]
     return per_state if m.ndim == 3 else per_state[0]
 
 
@@ -116,15 +116,10 @@ def validate(matrix, dims, *, require_psd: bool = True) -> DensityMatrix:
 
 
 def _refuse_any(found: list, prefix: str = "") -> None:
-    """Raise for the first violation in ``found``, if any, with ``prefix`` leading the message."""
-    if not found:
-        return
-    message = prefix + "; ".join(found)
-    if found[0].startswith("not Hermitian"):
-        raise NotHermitianError(message, found)
-    if found[0].startswith("trace"):
-        raise NotUnitTraceError(message, found)
-    raise NotPositiveError(message, found)
+    """Raise the type of the first violation in ``found``, if any, ``prefix`` leading every message."""
+    if found:
+        texts = [text for _, text in found]
+        raise found[0][0](prefix + "; ".join(texts), texts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +147,12 @@ def block_decompose(rho: DensityMatrix) -> BlockDecomposition:
         raise QubitNotFirstError(
             f"first subsystem has dimension {rho.dims[0]}; permute the qubit to the front"
         )
-    d = rho.dim // 2
-    m = rho.matrix
+    return _cut(rho.matrix)
+
+
+def _cut(m: np.ndarray) -> BlockDecomposition:
+    """The P/Q/R blocks of a bare qubit-first matrix or stack, each a fresh array."""
+    d = m.shape[-1] // 2
     return BlockDecomposition(
         p=np.array(m[..., :d, :d]),
         q=np.array(m[..., :d, d:]),
@@ -230,13 +229,12 @@ def _complex_gaussians(rng, rows: int, cols: int) -> np.ndarray:
     return radius * np.cos(angle) + 1.0j * radius * np.sin(angle)
 
 
-def _ginibre_state(rng, dims, rank: int) -> DensityMatrix:
-    total = math.prod(dims)
-    g = _complex_gaussians(rng, total, rank)
+def _ginibre_matrix(rng, n: int, rank: int) -> np.ndarray:
+    """The Hermitian part of G G^H / Tr(G G^H), G an n x rank complex Gaussian draw."""
+    g = _complex_gaussians(rng, n, rank)
     m = g @ g.conj().T
     m /= np.trace(m).real
-    m = (m + m.conj().T) / 2.0
-    return DensityMatrix(m, dims)
+    return linalg.hermitian_part(m)[0]
 
 
 def random_density(dims, rank=None, seed: int = 0) -> DensityMatrix:
@@ -253,7 +251,7 @@ def random_density(dims, rank=None, seed: int = 0) -> DensityMatrix:
     if not 1 <= rank <= total:
         raise BadRankError(f"rank must be in 1..{total}, got {rank}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return _ginibre_state(rng, dims, rank)
+    return DensityMatrix(_ginibre_matrix(rng, total, rank), dims)
 
 
 def random_separable(dims, terms: int = 1, seed: int = 0, factor_rank=None) -> DensityMatrix:
@@ -279,9 +277,6 @@ def random_separable(dims, terms: int = 1, seed: int = 0, factor_rank=None) -> D
     total = math.prod(dims)
     acc = np.zeros((total, total), dtype=np.complex128)
     for w in weights:
-        factors = [
-            _ginibre_state(rng, (d,), d if factor_rank is None else factor_rank).matrix
-            for d in dims
-        ]
+        factors = [_ginibre_matrix(rng, d, d if factor_rank is None else factor_rank) for d in dims]
         acc += w * reduce(linalg.tensor_product, factors)
-    return DensityMatrix((acc + acc.conj().T) / 2.0, dims)
+    return DensityMatrix(linalg.hermitian_part(acc)[0], dims)

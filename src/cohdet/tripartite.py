@@ -20,7 +20,7 @@ from . import linalg
 from .coherence import _off_diagonal_sum, l1_coherence
 from .criteria import BlockAnalysis, Verdict, _ceiling, _decide, _prefactor
 from .errors import NoQubitInPairError, ShapeError, shown
-from .states import BlockDecomposition, DensityMatrix, _reduce, _refuse_any, _violations_per_state
+from .states import DensityMatrix, _cut, _reduce, _refuse_any, _violations_per_state
 from .tolerances import DETECTION_TOLERANCE, WEIGHT_TOL
 
 LABELS = ("A", "B", "C")
@@ -152,11 +152,12 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     Each label reduces the certified term stack straight to its singled-out
     factor and its qubit-first pair with the partial-trace kernel, wrapping
     neither in a DensityMatrix; both are still refused if not finite. The
-    labels whose pair blocks share an order d are one stack: one
-    ``BlockAnalysis`` gives its masses, the same that ``separable_bound``
-    reads, and one call (``lambda_min_2x2`` if d = 2, else ``lambda_min``)
-    its block spectra. Every label's terms, in label order, are bounded by one
-    ``_ceiling`` call, so every bit and error is what labels one by one give.
+    labels whose pair blocks share an order d are one stack, cut into P/Q/R
+    as ``block_decompose`` cuts a state: one ``BlockAnalysis`` gives its
+    masses, the same that ``separable_bound`` reads, and one call
+    (``lambda_min_2x2`` if d = 2, else ``lambda_min``) its block spectra.
+    Every label's terms, in label order, are bounded by one ``_ceiling``
+    call, so every bit and error is what labels one by one give.
     """
     m, dims = ens._stack.matrix, ens.dims
     groups, where = {}, []
@@ -171,9 +172,8 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     columns = {}
     for d, members in groups.items():
         pairs = np.concatenate([pair for _, pair in members])
-        p, q, r = pairs[:, :d, :d], pairs[:, :d, d:], pairs[:, d:, d:]
-        analysis = BlockAnalysis(pairs, BlockDecomposition(p, q, r))
-        blocks = np.stack((p, r), axis=1).reshape(-1, d, d)
+        analysis = BlockAnalysis(pairs, _cut(pairs))
+        blocks = np.stack((analysis.blocks.p, analysis.blocks.r), axis=1).reshape(-1, d, d)
         # eigvalsh's bits on 2x2 would break the CLI golden until it compares within a tolerance
         lam = (linalg.lambda_min_2x2 if d == 2 else linalg.lambda_min)(blocks).reshape(-1, 2)
         coherence_x = _off_diagonal_sum(np.concatenate([single for single, _ in members]))
@@ -207,12 +207,15 @@ def _report(singled_out: str, lhs: float, rhs: float, terms: tuple) -> Tripartit
     )
 
 
+# overflowed arithmetic is refused by _decide, not reported as a warning
+@np.errstate(over="ignore", invalid="ignore")
 def ensemble_bound_check(ens: TripartiteEnsemble) -> TripartiteReport:
     """Compare the mixture's coherence against the ensemble ceiling."""
     lhs = l1_coherence(ens.mixture())
     return _report(ens.singled_out, lhs, *ensemble_bound(ens))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def all_bipartitions_check(ens: TripartiteEnsemble) -> BipartitionSurvey:
     """Run the ensemble check for every subsystem that can be singled out.
 

@@ -388,6 +388,29 @@ class TestEnsembleCommand:
         assert (code, out) == (2, "")
         assert err == "error: Eigenvalues did not converge\n"
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            # |000><001|: the BC pair's P block has eigenvalue -1e308
+            ((0, 1), "lambda_min of pair block P is -1.000e+308, beyond the -1e-10 window"),
+            # |000><111|: every pair is finite, but the mixture's coherence overflows
+            ((0, 7), "lhs - rhs is not finite: lhs inf, rhs 0.5; overflowed arithmetic has no verdict"),
+        ],
+        ids=["pair-block", "coherence"],
+    )
+    @pytest.mark.parametrize("survey", [(), ("--all-bipartitions",)], ids=["single", "all"])
+    def test_overflowed_arithmetic_gets_no_verdict(self, tmp_path, capsys, entry, message, survey):
+        matrix = [[[0.125 if i == j else 0.0, 0.0] for j in range(8)] for i in range(8)]
+        i, j = entry
+        matrix[i][j] = matrix[j][i] = [1e308, 0.0]
+        path = tmp_path / "ens.json"
+        document = {"dims": [2, 2, 2], "require_psd": False, "terms": [{"weight": 1.0, "state": matrix}]}
+        path.write_text(json.dumps(document))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "ensemble", "--file", str(path), *survey)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestScan:
     def test_row_count_and_flip_location(self, tmp_path, capsys):

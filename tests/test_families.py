@@ -6,6 +6,8 @@ non-physical construction, that the escape hatch and the defect are both
 where they should be).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,24 @@ EXPECTED_NAMES = (
 )
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def grid(spec_param, points=101):
     return np.linspace(spec_param.low, spec_param.high, points)
+
+
+def readme_family_rows() -> list:
+    """(name, kind, dims, parameter names) of each row of README's "Built-in families" table."""
+    section = README.read_text().split("\n## Built-in families\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            name, kind, dims, parameters = cells
+            dims = tuple(int(d) for d in dims.split("x"))
+            rows.append((name.strip("`"), kind, dims, tuple(parameters.split("`")[1].split())))
+    return rows
 
 
 class TestRegistry:
@@ -53,15 +71,22 @@ class TestRegistry:
         assert get_family("bellmix").kind == "ensemble"
         assert get_family("xstate24").kind == "state"
         assert get_family("flagmix").parameter("p").default == 0.5
-        assert get_family("xstate22").dims == (2, 2)
+        assert build_family("xstate22").dims == (2, 2)
+
+    def test_readme_table_describes_every_family(self):
+        rows = readme_family_rows()
+        assert tuple(sorted(name for name, *_ in rows)) == family_names()
+        for name, kind, dims, parameters in rows:
+            spec = get_family(name)
+            assert kind == spec.kind, name
+            assert dims == build_family(name).dims, name
+            assert parameters == tuple(p.name for p in spec.parameters), name
 
 
 class TestPhysicalityGrids:
     @pytest.mark.parametrize("name", ["xstate22-slice", "xstate24"])
     def test_state_families_valid_across_range(self, name):
-        spec = get_family(name)
-        assert spec.physical_everywhere
-        (param,) = spec.parameters
+        (param,) = get_family(name).parameters
         for value in grid(param):
             state = build_family(name, **{param.name: float(value)})
             assert isinstance(state, DensityMatrix)
@@ -69,9 +94,7 @@ class TestPhysicalityGrids:
 
     @pytest.mark.parametrize("name", ["bellmix", "puremix"])
     def test_ensemble_families_valid_across_range(self, name):
-        spec = get_family(name)
-        assert spec.physical_everywhere
-        (param,) = spec.parameters
+        (param,) = get_family(name).parameters
         for value in grid(param, points=21):
             ens = build_family(name, **{param.name: float(value)})
             assert isinstance(ens, TripartiteEnsemble)
@@ -79,8 +102,7 @@ class TestPhysicalityGrids:
             assert state_violations(mix.matrix, mix.dims) == []
 
     def test_flagmix_is_flagged_non_physical(self):
-        spec = get_family("flagmix")
-        assert not spec.physical_everywhere
+        assert not build_family("flagmix").require_psd
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
     def test_flagmix_mixture_is_indefinite_for_positive_weight(self, p):

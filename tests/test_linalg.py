@@ -23,6 +23,7 @@ from cohdet.linalg import (
     as_matrices,
     as_matrix,
     frobenius_norm_sq,
+    hermitian_part,
     lambda_min,
     lambda_min_2x2,
     tensor_product,
@@ -379,9 +380,32 @@ class TestLambdaMin:
         with pytest.raises(ShapeError, match="0x0"):
             lambda_min(np.zeros(shape))
 
+    def test_entries_near_the_float_limit_do_not_overflow(self):
+        # the Hermitian part is halved before it is summed, so 1e308 + 1e308 never forms
+        m = np.array([[0.125, 1e308], [1e308, 0.125]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lambda_min(m) == pytest.approx(-1e308, rel=1e-12)
+
 
 def same_bits(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e150])
+    def test_bits_of_the_halved_sum_and_of_the_deviation(self, scale):
+        rng = np.random.default_rng(811)
+        for n in (1, 2, 3, 4, 8):
+            stack = scale * (rng.standard_normal((40, n, n)) + 1j * rng.standard_normal((40, n, n)))
+            stack[::2] += stack[::2].conj().swapaxes(-1, -2)  # every other matrix Hermitian
+            before = stack.copy()
+            adjoint = stack.conj().swapaxes(-1, -2)
+            for m, mh in ((stack, adjoint), (stack[1], adjoint[1])):
+                half, deviation = hermitian_part(m)
+                assert same_bits(half, (m + mh) / 2.0)
+                assert same_bits(deviation, np.abs(m - mh).max(axis=(-2, -1), initial=0.0))
+            assert same_bits(stack, before)
 
 
 class TestStacks:

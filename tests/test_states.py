@@ -104,6 +104,23 @@ class TestValidate:
         assert len(found) == 1
         assert found[0].startswith("not Hermitian")
 
+    @pytest.mark.parametrize(
+        "candidate, kind",
+        [
+            (np.array([[2.0, 1.0], [0.0, -0.5]]), NotHermitianError),
+            (np.diag([0.5, 0.6]), NotUnitTraceError),
+            (np.diag([1.1, -0.1]), NotPositiveError),
+            (np.diag([1.2, -0.1]), NotUnitTraceError),  # trace and PSD: the trace comes first
+        ],
+        ids=["hermiticity", "trace", "psd", "trace-and-psd"],
+    )
+    def test_validate_raises_the_type_of_the_first_violation(self, candidate, kind):
+        with pytest.raises(ValidationError) as info:
+            validate(candidate, (2,))
+        assert type(info.value) is kind
+        assert list(info.value.violations) == state_violations(candidate, (2,))
+        assert str(info.value) == "; ".join(info.value.violations)
+
     def test_psd_check_can_be_waived(self):
         indefinite = np.diag([1.1, -0.1]).astype(complex)
         assert state_violations(indefinite, (2,), require_psd=False) == []
