@@ -17,8 +17,8 @@ from .tolerances import HERMITICITY_TOL, MAX_DIMENSION
 
 
 def as_matrices(candidate) -> np.ndarray:
-    """Coerce to a fresh, finite complex128 matrix, or stack ``(N, n, m)`` of matrices."""
-    m = np.array(candidate, dtype=np.complex128, copy=True)
+    """Coerce to a finite complex128 matrix or stack ``(N, n, m)``, read in place where it is one."""
+    m = np.asarray(candidate, dtype=np.complex128)
     if m.ndim not in (2, 3):
         raise ShapeError(f"expected a matrix or a stack of them, got an array of shape {m.shape}")
     return require_finite(m)
@@ -32,7 +32,7 @@ def require_finite(m: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(candidate) -> np.ndarray:
-    """Coerce to a fresh, finite complex128 2-d array."""
+    """Coerce to a finite complex128 2-d array, read in place where the input is one."""
     m = as_matrices(candidate)
     if m.ndim != 2:
         raise ShapeError(f"expected a matrix, got an array of shape {m.shape}")
@@ -55,7 +55,8 @@ def first_flagged(values, flags):
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product; block (i, j) of the result is a[i, j] * b.
 
-    Formed by one broadcast multiply, the same elementwise products as ``np.kron``.
+    Formed by one broadcast multiply, the same elementwise products as ``np.kron``;
+    the inputs are only read, so they are not copied.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -84,19 +85,22 @@ def trace_product(a, b):
     return item_or_array((a * b.swapaxes(-1, -2)).sum(axis=(-2, -1)))
 
 
-def hermitian_part(m) -> tuple:
-    """(m/2 + m^H/2, largest |m - m^H| entry) of a square matrix, or of each matrix in a stack.
+def hermitian_part(m) -> np.ndarray:
+    """m/2 + m^H/2 of a square matrix, or of each matrix in a stack.
 
     Halving before the sum cannot overflow, and is exact in the normal range,
     so the bits are those of (m + m^H) / 2 wherever that does not overflow.
     """
+    half = np.asarray(m, dtype=np.complex128) / 2.0
+    half += half.conj().swapaxes(-1, -2)  # conj(m/2) is conj(m)/2, bit for bit
+    return half
+
+
+def hermiticity_deviation(m):
+    """Largest |m - m^H| entry of a square matrix, or of each matrix in a stack."""
     m = np.asarray(m, dtype=np.complex128)
-    adjoint = m.conj().swapaxes(-1, -2)  # a fresh copy, halved in place below
-    deviation = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
-    adjoint /= 2.0
-    half = m / 2.0
-    half += adjoint
-    return half, deviation
+    with np.errstate(over="ignore"):  # past the float range it is inf, which every caller refuses
+        return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def _hermitian_part(m) -> np.ndarray:
@@ -108,11 +112,11 @@ def _hermitian_part(m) -> np.ndarray:
     a = as_matrices(m)
     if a.shape[-1] != a.shape[-2]:
         raise ShapeError(f"eigenvalues need a square matrix, got {a.shape}")
-    h, deviation = hermitian_part(a)
+    deviation = hermiticity_deviation(a)
     worst = first_flagged(deviation, deviation > HERMITICITY_TOL)
     if worst is not None:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m^H| entry is {worst:.3e}")
-    return h
+    return hermitian_part(a)
 
 
 def lambda_min_2x2(m):

@@ -9,6 +9,7 @@ subsystems is always explicit via :func:`permute_subsystems`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -23,6 +24,7 @@ from .errors import (
     NotUnitTraceError,
     QubitNotFirstError,
     ShapeError,
+    shown,
 )
 from .tolerances import HERMITICITY_TOL, MAX_DIMENSION, PSD_TOL, TRACE_TOL
 
@@ -52,7 +54,7 @@ class DensityMatrix:
     dims: tuple
 
     def __post_init__(self):
-        m = linalg.as_matrices(self.matrix)
+        m = linalg.as_matrices(np.array(self.matrix, dtype=np.complex128))
         dims = _positive_dims(self.dims)
         if m.shape[-2:] != (math.prod(dims), math.prod(dims)):
             raise ShapeError(
@@ -81,7 +83,8 @@ def _violations(deviation: float, trace_error: float, smallest: float) -> list:
 
 
 def _violations_per_state(m: np.ndarray, require_psd: bool) -> list:
-    hermitian, deviation = linalg.hermitian_part(m)
+    hermitian = linalg.hermitian_part(m)
+    deviation = linalg.hermiticity_deviation(m)
     trace_error = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     smallest = np.linalg.eigvalsh(hermitian)[..., 0] if require_psd else np.zeros_like(trace_error)
     measures = np.column_stack((deviation, trace_error, smallest)).tolist()
@@ -220,13 +223,26 @@ def _normalize_dims(dims) -> tuple:
     return _positive_dims(dims)
 
 
+def _count(value, top: int, error, what: str) -> int:
+    """``value`` as an int in 1..top, else ``error``; a float is refused, never truncated."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer in 1..{top}, got {shown(value)}") from None
+    if not 1 <= n <= top:
+        raise error(f"{what} must be in 1..{top}, got {n}")
+    return n
+
+
 def _complex_gaussians(rng, rows: int, cols: int) -> np.ndarray:
     """Standard complex Gaussians via Box-Muller over the uniform stream."""
-    u1 = rng.random((rows, cols))
-    u2 = rng.random((rows, cols))
+    u1, u2 = rng.random((2, rows, cols))  # the stream order of two draws, u1's first
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     angle = 2.0 * np.pi * u2
-    return radius * np.cos(angle) + 1.0j * radius * np.sin(angle)
+    g = np.empty((rows, cols), dtype=np.complex128)
+    np.multiply(radius, np.cos(angle), out=g.real)
+    np.multiply(radius, np.sin(angle), out=g.imag)
+    return g
 
 
 def _ginibre_matrix(rng, n: int, rank: int) -> np.ndarray:
@@ -234,7 +250,7 @@ def _ginibre_matrix(rng, n: int, rank: int) -> np.ndarray:
     g = _complex_gaussians(rng, n, rank)
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return linalg.hermitian_part(m)[0]
+    return linalg.hermitian_part(m)
 
 
 def random_density(dims, rank=None, seed: int = 0) -> DensityMatrix:
@@ -245,11 +261,7 @@ def random_density(dims, rank=None, seed: int = 0) -> DensityMatrix:
     """
     dims = _normalize_dims(dims)
     total = math.prod(dims)
-    if rank is None:
-        rank = total
-    rank = int(rank)
-    if not 1 <= rank <= total:
-        raise BadRankError(f"rank must be in 1..{total}, got {rank}")
+    rank = total if rank is None else _count(rank, total, BadRankError, "rank")
     rng = np.random.Generator(np.random.PCG64(seed))
     return DensityMatrix(_ginibre_matrix(rng, total, rank), dims)
 
@@ -264,13 +276,9 @@ def random_separable(dims, terms: int = 1, seed: int = 0, factor_rank=None) -> D
     dims = _normalize_dims(dims)
     if len(dims) < 2:
         raise ShapeError("separable states need at least two subsystems")
-    terms = int(terms)
-    if not 1 <= terms <= MAX_DIMENSION:
-        raise ShapeError(f"terms must be in 1..{MAX_DIMENSION}, got {terms}")
+    terms = _count(terms, MAX_DIMENSION, ShapeError, "terms")
     if factor_rank is not None:
-        factor_rank = int(factor_rank)
-        if not 1 <= factor_rank <= min(dims):
-            raise BadRankError(f"factor rank must be in 1..{min(dims)}, got {factor_rank}")
+        factor_rank = _count(factor_rank, min(dims), BadRankError, "factor rank")
     rng = np.random.Generator(np.random.PCG64(seed))
     weights = -np.log1p(-rng.random(terms))
     weights /= weights.sum()
@@ -279,4 +287,4 @@ def random_separable(dims, terms: int = 1, seed: int = 0, factor_rank=None) -> D
     for w in weights:
         factors = [_ginibre_matrix(rng, d, d if factor_rank is None else factor_rank) for d in dims]
         acc += w * reduce(linalg.tensor_product, factors)
-    return DensityMatrix(linalg.hermitian_part(acc)[0], dims)
+    return DensityMatrix(linalg.hermitian_part(acc), dims)

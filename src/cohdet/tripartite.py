@@ -84,7 +84,7 @@ class TripartiteEnsemble:
             terms.append((weight, state))
         if not terms:
             raise ShapeError("ensemble needs at least one term")
-        stack = np.stack([s.matrix for _, s in terms])
+        stack = np.array([s.matrix for _, s in terms])
         acc = sum(w * s.matrix for w, s in terms)
         # a mixture that overflowed stays out of the stack, for DensityMatrix to refuse
         rows = (stack, acc[None]) if np.isfinite(acc).all() else (stack,)
@@ -151,9 +151,10 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
 
     Each label reduces the certified term stack straight to its singled-out
     factor and its qubit-first pair with the partial-trace kernel, wrapping
-    neither in a DensityMatrix; both are still refused if not finite. The
-    labels whose pair blocks share an order d are one stack, cut into P/Q/R
-    as ``block_decompose`` cuts a state: one ``BlockAnalysis`` gives its
+    neither in a DensityMatrix. The labels whose pair blocks share an order d
+    are one stack; one scan of its singles and one of its pairs refuse what
+    is not finite, in every group before any is analyzed. A stack is cut into
+    P/Q/R as ``block_decompose`` cuts a state: one ``BlockAnalysis`` gives its
     masses, the same that ``separable_bound`` reads, and one call
     (``lambda_min_2x2`` if d = 2, else ``lambda_min``) its block spectra.
     Every label's terms, in label order, are bounded by one ``_ceiling``
@@ -162,30 +163,31 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     m, dims = ens._stack.matrix, ens.dims
     groups, where = {}, []
     for label in labels:
-        single = linalg.require_finite(_reduce(m, dims, [LABELS.index(label)]))
+        single = _reduce(m, dims, [LABELS.index(label)])
         # the pair in cyclic order with its qubit moved first; the sort is stable
         kept = sorted(PAIRS[label], key=lambda i: dims[i] != 2)
-        pair = linalg.require_finite(_reduce(m, dims, kept))
+        pair = _reduce(m, dims, kept)
         d = pair.shape[-1] // 2
         where.append((d, len(groups.setdefault(d, []))))
         groups[d].append((single, pair))
+    stacks = {d: [linalg.require_finite(np.concatenate(a)) for a in zip(*g)] for d, g in groups.items()}
     columns = {}
-    for d, members in groups.items():
-        pairs = np.concatenate([pair for _, pair in members])
+    for d, (singles, pairs) in stacks.items():
         analysis = BlockAnalysis(pairs, _cut(pairs))
-        blocks = np.stack((analysis.blocks.p, analysis.blocks.r), axis=1).reshape(-1, d, d)
+        p, r = analysis.blocks.p[:, None], analysis.blocks.r[:, None]
+        blocks = np.concatenate((p, r), axis=1).reshape(-1, d, d)  # P and R of each pair in turn
         # eigvalsh's bits on 2x2 would break the CLI golden until it compares within a tolerance
         lam = (linalg.lambda_min_2x2 if d == 2 else linalg.lambda_min)(blocks).reshape(-1, 2)
-        coherence_x = _off_diagonal_sum(np.concatenate([single for single, _ in members]))
         prefactor = np.full(len(pairs), _prefactor(d))
-        columns[d] = np.column_stack((coherence_x, *analysis.masses, lam, prefactor))
+        columns[d] = np.array((_off_diagonal_sum(singles), *analysis.masses, *lam.T, prefactor))
     n = len(ens.terms)
-    rows = np.concatenate([columns[d][k * n : (k + 1) * n] for d, k in where])
-    coherence_x, p_norm_sq, r_norm_sq, diag_sq, lam_p, lam_r, prefactor = rows.T
+    rows = np.concatenate([columns[d][:, k * n : (k + 1) * n] for d, k in where], axis=1)
+    coherence_x, p_norm_sq, r_norm_sq, diag_sq, lam_p, lam_r, prefactor = rows
     ceilings = _ceiling(prefactor, p_norm_sq + r_norm_sq - diag_sq, lam_p, lam_r, "pair block")
-    weights = np.tile([w for w, _ in ens.terms], len(where))
+    weights = np.array([w for w, _ in ens.terms] * len(where))
     summands = weights * (coherence_x + ceilings * (1.0 + coherence_x))
-    terms = [TermBreakdown(*row) for row in np.column_stack((weights, rows, summands)).tolist()]
+    table = np.concatenate((weights[None], rows, summands[None])).T.tolist()
+    terms = [TermBreakdown(*row) for row in table]
     breakdowns = (tuple(terms[i : i + n]) for i in range(0, len(terms), n))
     return [(float(sum(t.summand for t in b)), b) for b in breakdowns]
 

@@ -246,6 +246,18 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: not positive semidefinite: min eigenvalue -1.000e+308\n"
 
+    def test_a_deviation_past_the_float_range_is_refused_without_a_warning(self, tmp_path, capsys):
+        # m - m^H overflows to inf; that is refused, with no numpy warning printed first
+        path = tmp_path / "skew.json"
+        matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        matrix[0][1], matrix[1][0] = [1e308, 0.0], [-1e308, 0.0]
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": matrix}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", "--state", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not Hermitian: max |m - m^H| entry is inf\n"
+
     @pytest.mark.parametrize(
         "dims",
         [4, [2, None], [2, float("inf")], [2.5, 2], [True, 2], [2, 1e300], [2, 4097], [64, 128]],

@@ -24,6 +24,7 @@ from cohdet.linalg import (
     as_matrix,
     frobenius_norm_sq,
     hermitian_part,
+    hermiticity_deviation,
     lambda_min,
     lambda_min_2x2,
     tensor_product,
@@ -402,10 +403,17 @@ class TestHermitianPart:
             before = stack.copy()
             adjoint = stack.conj().swapaxes(-1, -2)
             for m, mh in ((stack, adjoint), (stack[1], adjoint[1])):
-                half, deviation = hermitian_part(m)
-                assert same_bits(half, (m + mh) / 2.0)
+                assert same_bits(hermitian_part(m), (m + mh) / 2.0)
+                deviation = hermiticity_deviation(m)
                 assert same_bits(deviation, np.abs(m - mh).max(axis=(-2, -1), initial=0.0))
             assert same_bits(stack, before)
+
+    def test_a_deviation_past_the_float_range_is_inf_without_a_warning(self):
+        m = np.array([[0.25, 1e308], [-1e308, 0.25]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hermiticity_deviation(m) == np.inf
+            assert hermiticity_deviation(np.array([[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]])) == np.inf
 
 
 class TestStacks:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cohdet import linalg
 from cohdet.errors import (
     BadPermutationError,
     BadRankError,
@@ -299,6 +300,23 @@ class TestRandomDensity:
             with pytest.raises(BadRankError):
                 random_density(6, rank=rank, seed=0)
 
+    def test_a_non_integral_rank_is_refused_not_truncated(self):
+        for rank in (2.9, 2.0, "2"):
+            with pytest.raises(BadRankError, match=f"rank must be an integer in 1..4, got {rank!r}"):
+                random_density(4, rank=rank, seed=1)
+        assert np.array_equal(
+            random_density(4, rank=np.int64(2), seed=1).matrix, random_density(4, rank=2, seed=1).matrix
+        )
+
+    def test_generators_never_compute_the_deviation(self, monkeypatch):
+        # the generators' Hermitian part is all they need; validation alone measures the deviation
+        def refuse(m):
+            raise AssertionError("hermiticity_deviation called")
+
+        monkeypatch.setattr(linalg, "hermiticity_deviation", refuse)
+        random_density((2, 3), seed=2)
+        random_separable((2, 2), terms=3, seed=2, factor_rank=1)
+
     def test_scalar_dim_and_dims_tuple_agree(self):
         assert random_density(6, seed=4).dims == (6,)
         assert random_density((2, 3), seed=4).dims == (2, 3)
@@ -358,3 +376,12 @@ class TestRandomSeparable:
             random_separable((2, 3), factor_rank=3)
         with pytest.raises(BadRankError):
             random_separable((2, 3), factor_rank=0)
+
+    def test_non_integral_terms_and_factor_rank_are_refused(self):
+        with pytest.raises(ShapeError, match=r"terms must be an integer in 1..4096, got 2.7"):
+            random_separable((2, 2), terms=2.7)
+        with pytest.raises(BadRankError, match=r"factor rank must be an integer in 1..2, got 1.0"):
+            random_separable((2, 2), factor_rank=1.0)
+        pinned = random_separable((2, 2), terms=2, seed=3, factor_rank=1).matrix
+        again = random_separable((2, 2), terms=np.int64(2), seed=3, factor_rank=np.int32(1)).matrix
+        assert np.array_equal(pinned, again)

@@ -353,18 +353,19 @@ class TestSharedSurvey:
 
     def test_one_coercion_per_survey(self, monkeypatch):
         # the reduced factors and pairs are read as they come from the kernel;
-        # only the eigen route's input check still coerces
+        # only the eigen route's input check still coerces, and it reads in place
         calls = []
         real = linalg.as_matrices
 
         def counting(candidate):
-            calls.append(1)
-            return real(candidate)
+            coerced = real(candidate)
+            calls.append(coerced is candidate)
+            return coerced
 
         ens = build_family("puremix", p=0.5)
         monkeypatch.setattr(linalg, "as_matrices", counting)
         all_bipartitions_check(ens)
-        assert len(calls) == 1
+        assert calls == [True]
 
     def test_caller_ensemble_is_unchanged(self):
         ens = random_product_ensemble((2, 2, 2), 2, seed=5)
