@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import math
@@ -21,12 +20,13 @@ import sys
 import numpy as np
 
 from . import criteria as crit
-from . import gellmann, states, tripartite
+from . import states
 from .errors import ParseError, shown
-from .families import build_family, family_names, get_family
 from .states import DensityMatrix, validate
 from .tolerances import KET_NORM_TOL, MAX_DIMENSION, MAX_SCAN_POINTS, RANGE_SLACK
-from .tripartite import TripartiteEnsemble
+
+# tripartite, families and gellmann are imported inside the subcommands that
+# use them, so a process loads only what its subcommand runs.
 
 CSV_HEADER = ("param", "criterion", "lhs", "rhs", "margin", "verdict")
 
@@ -130,7 +130,9 @@ def read_state(path) -> DensityMatrix:
         return validate(matrix, dims)
 
 
-def read_ensemble(path) -> TripartiteEnsemble:
+def read_ensemble(path):
+    """The validated ``tripartite.TripartiteEnsemble`` an ensemble file describes."""
+    from .tripartite import TripartiteEnsemble
     doc = _load_json(path)
     for key in ("dims", "terms"):
         if key not in doc:
@@ -264,6 +266,7 @@ def _print_ensemble_text(entry: dict) -> None:
 
 
 def _cmd_ensemble(args) -> int:
+    from . import tripartite
     ens = read_ensemble(args.file)
     if args.all_bipartitions:
         survey = tripartite.all_bipartitions_check(ens)
@@ -319,7 +322,9 @@ def _scan_cells(family, param, points, requested) -> dict:
     A state-family grid is built and checked as one stack; if that fails, its
     points rerun one by one to raise what a point-by-point sweep met first.
     """
+    from .families import build_family, get_family
     if get_family(family).kind == "ensemble":
+        from . import tripartite
         column = []
         for value in points:
             ens = build_family(family, **{param: value})
@@ -347,24 +352,27 @@ def _scan_cells(family, param, points, requested) -> dict:
 
 
 def _cmd_scan(args) -> int:
+    from .families import get_family
     get_family(args.family).parameter(args.param)  # fail fast on a bad name
     requested = _parse_criteria(args.criteria)
     points = _parse_range(args.range)
     # Nothing is written until every row is known: a failing sweep leaves no file.
     cells = _scan_cells(args.family, args.param, points, requested)
     unsupported = (math.nan, math.nan, math.nan, "Unsupported")
+    # No field can hold a comma, a quote or a newline, so no field needs quoting.
+    lines = [",".join(CSV_HEADER)]
+    for i, value in enumerate(points):
+        for name in requested:
+            lhs, rhs, margin, verdict = cells[name][i] if name in cells else unsupported
+            lines.append(f"{_fmt(value)},{name},{_fmt(lhs)},{_fmt(rhs)},{_fmt(margin)},{verdict}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for i, value in enumerate(points):
-            for name in requested:
-                lhs, rhs, margin, verdict = cells[name][i] if name in cells else unsupported
-                writer.writerow([_fmt(value), name, _fmt(lhs), _fmt(rhs), _fmt(margin), verdict])
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(points)} points x {len(requested)} criteria)")
     return 0
 
 
 def _cmd_ggm(args) -> int:
+    from . import gellmann
     basis = gellmann.build_basis(args.dim, diagonal_coefficient=args.coefficient)
     document = {
         "dim": basis.dim,
@@ -399,6 +407,9 @@ def _parse_dims(raw: str) -> tuple:
 def _cmd_random(args) -> int:
     dims = _parse_dims(args.dims)
     metadata = {"kind": args.kind, "seed": args.seed, "scheme": states.RNG_SCHEME}
+    ignored = "rank" if args.kind == "separable" else "terms"
+    if getattr(args, ignored) is not None:
+        raise ParseError(f"--kind {args.kind} takes no --{ignored}; drop the --{ignored} flag")
     if args.kind == "generic":
         state = states.random_density(dims, rank=args.rank, seed=args.seed)
         if args.rank is not None:
@@ -409,8 +420,9 @@ def _cmd_random(args) -> int:
         state = states.random_density(dims, rank=1, seed=args.seed)
         metadata["rank"] = 1
     else:
-        state = states.random_separable(dims, terms=args.terms, seed=args.seed)
-        metadata["terms"] = args.terms
+        terms = 1 if args.terms is None else args.terms
+        state = states.random_separable(dims, terms=terms, seed=args.seed)
+        metadata["terms"] = terms
     write_state(state, args.out, metadata=metadata)
     print(f"wrote {args.out} (kind {args.kind}, dims {args.dims}, seed {args.seed})")
     return 0
@@ -448,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.set_defaults(func=_cmd_ensemble)
 
     scan = sub.add_parser("scan", help="sweep a family parameter and write CSV")
-    scan.add_argument("--family", required=True, help=f"one of: {', '.join(family_names())}")
+    scan.add_argument("--family", required=True, help="built-in family name; an unknown name lists them all")
     scan.add_argument("--param", required=True, help="parameter name to sweep")
     scan.add_argument("--range", required=True, help="start:stop:step, inclusive of both ends")
     scan.add_argument("--criteria", required=True, help="comma-separated list or 'all'")
@@ -457,12 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ggm = sub.add_parser("ggm", help="export the operator basis for a dimension")
     ggm.add_argument("--dim", type=int, required=True)
-    ggm.add_argument(
-        "--coefficient",
-        choices=gellmann.DIAGONAL_COEFFICIENTS,
-        default="rational",
-        help="diagonal-family normalization",
-    )
+    ggm.add_argument("--coefficient", default="rational", help="diagonal-family normalization")
     ggm.add_argument("--out", required=True, help="output JSON path")
     ggm.set_defaults(func=_cmd_ggm)
 
@@ -471,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     random_cmd.add_argument("--dims", required=True, help="subsystem dims, e.g. 2x3 or 2x2x2")
     random_cmd.add_argument("--seed", type=int, default=0)
     random_cmd.add_argument("--rank", type=int, default=None, help="rank for generic states")
-    random_cmd.add_argument("--terms", type=int, default=1, help="mixture terms for separable")
+    random_cmd.add_argument("--terms", type=int, default=None, help="mixture terms for separable (default 1)")
     random_cmd.add_argument("--out", required=True, help="output JSON path")
     random_cmd.set_defaults(func=_cmd_random)
 

@@ -33,6 +33,7 @@ from cohdet.cli import (
 )
 from cohdet.coherence import l1_coherence
 from cohdet.errors import ParseError, shown
+from cohdet.families import family_names
 from cohdet.states import random_density
 
 CLI_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "cli.json"
@@ -513,6 +514,17 @@ class TestScan:
         with pytest.raises(ParseError, match=f"more than {MAX_SCAN_POINTS} points"):
             _parse_range(f"0:{MAX_SCAN_POINTS}:1")
 
+    def test_unknown_family_lists_every_family(self, tmp_path, capsys):
+        never = tmp_path / "never.csv"
+        code, out, err = run(
+            capsys, "scan", "--family", "nope", "--param", "p",
+            "--range", "0:1:0.5", "--criteria", "all", "--out", str(never),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown family 'nope'")
+        assert all(name in err for name in family_names())
+        assert not never.exists()
+
     def test_out_of_family_range(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "scan", "--family", "xstate24", "--param", "a",
@@ -596,6 +608,15 @@ class TestGgm:
                            "--out", str(tmp_path / "never.json"))
         assert code == 2
         assert "dim" in err
+
+    def test_unknown_coefficient_writes_no_file(self, tmp_path, capsys):
+        never = tmp_path / "never.json"
+        code, out, err = run(capsys, "ggm", "--dim", "3", "--coefficient", "nope",
+                             "--out", str(never))
+        assert code == 2 and out == ""
+        assert err.startswith("error: diagonal_coefficient must be one of")
+        assert "'nope'" in err
+        assert not never.exists()
 
     @pytest.mark.parametrize("dim", ["33", "1000000"])
     def test_dimension_above_the_cap_writes_no_file(self, tmp_path, capsys, dim):
@@ -714,6 +735,28 @@ class TestRandom:
             assert err.startswith("error: terms must be in 1..4096")
             assert "Traceback" not in err
             assert not Path(never).exists()
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("separable", "--rank", "5"),
+        ("generic", "--terms", "7"),
+        ("pure", "--terms", "1"),
+    ])
+    def test_a_flag_the_kind_ignores_is_refused(self, tmp_path, capsys, kind, flag, value):
+        never = tmp_path / "never.json"
+        code, out, err = run(capsys, "random", "--kind", kind, "--dims", "2x2",
+                             flag, value, "--out", str(never))
+        assert code == 2 and out == ""
+        assert err == f"error: --kind {kind} takes no {flag}; drop the {flag} flag\n"
+        assert not never.exists()
+
+    def test_separable_without_terms_is_one_term(self, tmp_path, capsys):
+        absent, one = tmp_path / "absent.json", tmp_path / "one.json"
+        for path, extra in ((absent, ()), (one, ("--terms", "1"))):
+            code, _, _ = run(capsys, "random", "--kind", "separable", "--dims", "2x2",
+                             "--seed", "4", *extra, "--out", str(path))
+            assert code == 0
+        assert json.loads(absent.read_text())["metadata"]["terms"] == 1
+        assert absent.read_bytes() == one.read_bytes()
 
 
 class TestParser:
