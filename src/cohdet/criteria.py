@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .coherence import _off_diagonal_sum
 from .errors import NegativeRadicandError, NotFiniteError, ShapeError
-from .states import BlockDecomposition, DensityMatrix, block_decompose, partial_transpose
+from .states import BlockDecomposition, DensityMatrix, _cut, block_decompose, partial_transpose
 from .tolerances import DETECTION_TOLERANCE, PPT_TOL, RADICAND_TOL
 
 
@@ -93,7 +93,8 @@ def _report(criterion, lhs, rhs, *, quiet=Verdict.INCONCLUSIVE, notes=()) -> Cri
 class BlockAnalysis:
     """What the checks and the separable ceiling read from one qubit-first matrix or stack.
 
-    ``matrix`` is taken as it is and ``blocks`` are its P/Q/R blocks. Each
+    ``matrix`` is taken as it is and ``blocks`` are its P/Q/R blocks; the
+    block spectra read the cut of its checked Hermitian part instead. Each
     quantity is computed on first use and then kept, so every reader sees
     the same bits; a stack gets one value per matrix, each as if alone.
     """
@@ -126,12 +127,17 @@ class BlockAnalysis:
         return linalg.item_or_array(off.sum(axis=(-2, -1)).real + 2.0 * self.trace_pr)
 
     @cached_property
+    def hermitian_blocks(self) -> BlockDecomposition:
+        """The matrix's one Hermiticity check; each block has the bits of its own Hermitian part."""
+        return _cut(linalg.checked_hermitian_part(self.matrix))
+
+    @cached_property
     def lambda_min_p(self):
-        return linalg.lambda_min(self.blocks.p)
+        return linalg.lambda_min(self.hermitian_blocks.p)
 
     @cached_property
     def lambda_min_r(self):
-        return linalg.lambda_min(self.blocks.r)
+        return linalg.lambda_min(self.hermitian_blocks.r)
 
     @cached_property
     def masses(self) -> tuple:

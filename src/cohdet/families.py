@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ParamOutOfRangeError, UnknownFamilyError
 from .states import DensityMatrix, validate
 from .tolerances import MINOR_SLACK
-from .tripartite import TripartiteEnsemble
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,7 @@ _BELL_MINUS = _ket(4, {0: 1.0, 3: -1.0})
 
 
 def _two_term_ensemble(p, first, second, require_psd=True) -> TripartiteEnsemble:
+    from .tripartite import TripartiteEnsemble  # a state-family scan never loads tripartite
     terms = []
     if p > 0.0:
         terms.append((p, DensityMatrix(first, (2, 2, 2))))

@@ -103,34 +103,28 @@ def hermiticity_deviation(m):
         return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
-def _hermitian_part(m) -> np.ndarray:
-    """The Hermitian part of a square matrix or stack, the input check of both eigen routes.
+def checked_hermitian_part(m) -> np.ndarray:
+    """The Hermitian part of a finite square matrix or stack: the eigen kernels' one input check.
 
     Hermiticity is required up to ``HERMITICITY_TOL`` on the worst entry;
     anything beyond that is rejected rather than silently symmetrized.
     """
-    a = as_matrices(m)
-    if a.shape[-1] != a.shape[-2]:
-        raise ShapeError(f"eigenvalues need a square matrix, got {a.shape}")
-    deviation = hermiticity_deviation(a)
+    deviation = hermiticity_deviation(m)
     worst = first_flagged(deviation, deviation > HERMITICITY_TOL)
     if worst is not None:
         raise NotHermitianError(f"matrix is not Hermitian: max |m - m^H| entry is {worst:.3e}")
-    return hermitian_part(a)
+    return hermitian_part(m)
 
 
-def lambda_min_2x2(m):
+def lambda_min_2x2(h):
     """Smallest eigenvalue of a Hermitian 2x2 matrix (each of a stack), by one Jacobi rotation.
 
-    Input is checked as in ``lambda_min``. A phase makes the pivot m[0, 1]
-    real and the real Jacobi angle zeroes it, so the rotated diagonal is the
-    spectrum; a pivot below 1e-300 is not rotated. The operations and their
-    order are those of the Jacobi solver this replaced, whose bits the CLI
-    golden pins.
+    ``h`` is a ``checked_hermitian_part``, read as it is. A phase makes the
+    pivot h[0, 1] real and the real Jacobi angle zeroes it, so the rotated
+    diagonal is the spectrum; a pivot below 1e-300 is not rotated. The
+    operations and their order are those of the Jacobi solver this
+    replaced, whose bits the CLI golden pins.
     """
-    h = _hermitian_part(m)
-    if h.shape[-2:] != (2, 2):
-        raise ShapeError(f"lambda_min_2x2 needs 2x2 matrices, got shape {h.shape}")
     a00, a01, a10, a11 = h.reshape(-1, 4).T  # one matrix too: numpy's scalar math has other bits
     # hypot is the scalar abs of a complex; the array abs loses bits against it
     r = np.hypot(a01.real, a01.imag)
@@ -153,9 +147,6 @@ def lambda_min_2x2(m):
     return item_or_array(np.minimum(low, high).reshape(h.shape[:-2]))
 
 
-def lambda_min(m):
-    """Smallest eigenvalue of a Hermitian matrix (each of a stack), by LAPACK ``eigvalsh``."""
-    h = _hermitian_part(m)
-    if h.shape[-1] == 0:
-        raise ShapeError(f"a 0x0 matrix has no smallest eigenvalue, got shape {h.shape}")
+def lambda_min(h):
+    """Smallest eigenvalue of a ``checked_hermitian_part`` (each of a stack), by LAPACK ``eigvalsh``."""
     return item_or_array(np.linalg.eigvalsh(h)[..., 0])

@@ -51,15 +51,15 @@ class TripartiteEnsemble:
     admits indefinite members (and mixture): some textbook constructions
     are written down entrywise and are not physical states, yet their
     bound arithmetic is still well defined. The members and the mixture
-    are certified as one stack, at construction; a failing member is named
-    ``term k``, counted from 1.
+    are certified as one stack, at construction, and the survey reads the
+    terms' stack as built; a failing member is named ``term k``, from 1.
     """
 
     dims: tuple
     terms: tuple
     singled_out: str = "A"
     require_psd: bool = True
-    _stack: DensityMatrix = field(init=False, repr=False)
+    _stack: np.ndarray = field(init=False, repr=False)
     _mixture: DensityMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -97,7 +97,8 @@ class TripartiteEnsemble:
         _refuse_any(found[-1])  # the mixture's row; if it overflowed, the last term's (empty)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "_stack", DensityMatrix(stack, dims))
+        stack.setflags(write=False)  # kept as certified: shape, dims and finiteness are checked
+        object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_mixture", DensityMatrix(acc, dims))
 
     def mixture(self) -> DensityMatrix:
@@ -155,12 +156,13 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     are one stack; one scan of its singles and one of its pairs refuse what
     is not finite, in every group before any is analyzed. A stack is cut into
     P/Q/R as ``block_decompose`` cuts a state: one ``BlockAnalysis`` gives its
-    masses, the same that ``separable_bound`` reads, and one call
-    (``lambda_min_2x2`` if d = 2, else ``lambda_min``) its block spectra.
+    masses, the same that ``separable_bound`` reads, and one call on its
+    ``hermitian_blocks`` (``lambda_min_2x2`` if d = 2, else ``lambda_min``)
+    its block spectra.
     Every label's terms, in label order, are bounded by one ``_ceiling``
     call, so every bit and error is what labels one by one give.
     """
-    m, dims = ens._stack.matrix, ens.dims
+    m, dims = ens._stack, ens.dims
     groups, where = {}, []
     for label in labels:
         single = _reduce(m, dims, [LABELS.index(label)])
@@ -174,7 +176,7 @@ def _ceilings(ens: TripartiteEnsemble, labels) -> list:
     columns = {}
     for d, (singles, pairs) in stacks.items():
         analysis = BlockAnalysis(pairs, _cut(pairs))
-        p, r = analysis.blocks.p[:, None], analysis.blocks.r[:, None]
+        p, r = analysis.hermitian_blocks.p[:, None], analysis.hermitian_blocks.r[:, None]
         blocks = np.concatenate((p, r), axis=1).reshape(-1, d, d)  # P and R of each pair in turn
         # eigvalsh's bits on 2x2 would break the CLI golden until it compares within a tolerance
         lam = (linalg.lambda_min_2x2 if d == 2 else linalg.lambda_min)(blocks).reshape(-1, 2)

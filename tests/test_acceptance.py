@@ -7,10 +7,10 @@ stated and they FAIL, because three of the checks fire on provably
 separable states. The failure messages carry the measured counts and a
 concrete reproducible counterexample each; the decision record,
 docs/decisions/0001-criteria-6-7.md, discusses why the defect is in the
-inequalities themselves, not in this implementation. Two unnumbered
-tests back that record: a ledger that pins criterion 6's exact counts,
-so drift fails on its own, and an exact rational certificate of its two
-minimal counterexamples. A third, the headroom ledger, keeps every corpus
+inequalities themselves, not in this implementation. Unnumbered tests
+back that record: ledgers that pin the exact counts of criteria 6 and 7,
+so drift fails on its own, and an exact rational certificate of
+criterion 6's two minimal counterexamples. A third, the headroom ledger, keeps every corpus
 verdict clear of its threshold. Criterion 8 turns the same corpora into
 the empirical rate report and compares it byte for byte with the
 committed reports/detection_rates.json. Criteria 9-10 cover the exact
@@ -26,6 +26,7 @@ tolerances are this module's own: grid regressions 1e-10 (lhs) / 1e-9
 exact-algebra assertions 0.
 """
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -79,23 +80,40 @@ class Corpora(dict):
         return f"Corpora({sizes})"
 
 
+def stacked(states, dims) -> DensityMatrix:
+    """One (N, n, n) state of the corpus: a stack gets each state's own bits from every check."""
+    return DensityMatrix(np.array([state.matrix for state in states]), dims)
+
+
+def split_report(report) -> list:
+    """A stack's report as one CriterionReport per state, its numbers as Python floats."""
+    columns = (report.lhs.tolist(), report.rhs.tolist(), report.margin.tolist(), report.verdict)
+    return [dataclasses.replace(report, lhs=lhs, rhs=rhs, margin=margin, verdict=verdict)
+            for lhs, rhs, margin, verdict in zip(*columns)]
+
+
 @pytest.fixture(scope="module")
 def generic_corpora():
     """Seeded 2x2 and 2x3 corpora with every detector verdict precomputed.
 
     Shared between the soundness criterion and the rate report so the
-    10000 states are generated and analyzed exactly once per run.
+    10000 states are generated and analyzed exactly once per run. States are
+    generated and PPT-checked one at a time; each detector runs once on the
+    corpus as one stack, whose per-state reports are those of the state alone
+    (``TestStackedChecks`` in test_criteria holds the stack to that).
     """
     corpora = Corpora()
     for d, base in GENERIC_BASES.items():
-        records = []
-        for i in range(CORPUS_SIZE):
-            state = random_density((2, d), rank=(i % (2 * d)) + 1, seed=base + i)
-            reports = {name: check(state) for name, check in DETECTORS.items()}
-            if d == 2:
-                reports["qubit-coherence"] = qubit_coherence_check(state)
-            records.append((base + i, reports, ppt_check(state)))
-        corpora[d] = records
+        states = [
+            random_density((2, d), rank=(i % (2 * d)) + 1, seed=base + i) for i in range(CORPUS_SIZE)
+        ]
+        checks = dict(DETECTORS, **({"qubit-coherence": qubit_coherence_check} if d == 2 else {}))
+        stack = stacked(states, (2, d))
+        columns = {name: split_report(check(stack)) for name, check in checks.items()}
+        corpora[d] = [
+            (base + i, {name: column[i] for name, column in columns.items()}, ppt_check(state))
+            for i, state in enumerate(states)
+        ]
     return corpora
 
 
@@ -238,30 +256,53 @@ def test_criterion_06_detector_soundness_vs_ppt_oracle(generic_corpora):
         )
 
 
-def test_criterion_07_separable_immunity():
+SEPARABLE_CHECKED = ("coherence-bound", "block-trace", "block-spectrum")
+
+
+@pytest.fixture(scope="module")
+def separable_corpora():
+    """Criterion 7's corpora, built once: per qudit dimension, the ceiling gaps
+    l1_coherence - separable_bound and the detector verdicts of its seeded
+    random_separable states, then the reports of the product-term ensembles.
+
+    States are generated one at a time and checked as one stack per
+    dimension; ensembles are built and checked one at a time.
+    """
+    separable = {}
+    for d, base in SEPARABLE_BASES.items():
+        stack = stacked([
+            random_separable((2, d), terms=(i % 4) + 1, seed=base + i, factor_rank=1 if i % 2 else None)
+            for i in range(CORPUS_SIZE)
+        ], (2, d))
+        gaps = l1_coherence(stack) - separable_bound(stack)
+        verdicts = {name: DETECTORS[name](stack).verdict for name in SEPARABLE_CHECKED}
+        separable[d] = (gaps, verdicts)
+    ensembles = [
+        ensemble_bound_check(seeded_product_ensemble(TRIPARTITE_BASE + i, terms=(i % 3) + 1))
+        for i in range(CORPUS_SIZE)
+    ]
+    return separable, ensembles
+
+
+def test_criterion_07_separable_immunity(separable_corpora):
+    separable, ensembles = separable_corpora
     bound_violations = 0
     misfires = Counter()
     worst_bound = (0.0, None)
-    for d, base in SEPARABLE_BASES.items():
-        for i in range(CORPUS_SIZE):
-            state = random_separable(
-                (2, d), terms=(i % 4) + 1, seed=base + i,
-                factor_rank=1 if i % 2 else None,
-            )
-            gap = l1_coherence(state) - separable_bound(state)
+    for d, (gaps, verdicts) in separable.items():
+        for i, gap in enumerate(gaps.tolist()):
             if gap > 1e-10:
                 bound_violations += 1
                 if gap > worst_bound[0]:
-                    worst_bound = (gap, (d, base + i))
-            for name in ("coherence-bound", "block-trace", "block-spectrum"):
-                if DETECTORS[name](state).verdict is Verdict.ENTANGLED:
-                    misfires[name] += 1
+                    worst_bound = (gap, (d, SEPARABLE_BASES[d] + i))
+        for name, column in verdicts.items():
+            fired = int(np.count_nonzero(column == Verdict.ENTANGLED))
+            if fired:  # a detector that never fires stays out of the message
+                misfires[name] += fired
 
     ensemble_misfires = 0
     worst_ensemble = (0.0, None)
-    for i in range(CORPUS_SIZE):
-        ens = seeded_product_ensemble(TRIPARTITE_BASE + i, terms=(i % 3) + 1)
-        report = ensemble_bound_check(ens)
+    for i, report in enumerate(ensembles):
         if report.verdict is Verdict.ENTANGLED:
             ensemble_misfires += 1
             if report.margin > worst_ensemble[0]:
@@ -339,6 +380,34 @@ def test_known_red_ledger_of_criterion_06(generic_corpora):
             per_corpus[d] = sum(r[name].verdict is Verdict.ENTANGLED for r in ppt_reports)
     assert ppt == CRITERION_06_LEDGER["ppt"]
     assert flags == CRITERION_06_LEDGER["flags"]
+
+
+# Criterion 7's known-red counts, pinned exactly per qudit dimension: separable
+# states above the coherence ceiling, detector flags on them, and flagged
+# product-term ensembles (totals 14626, 14672, 14626, 0 and 4761).
+CRITERION_07_LEDGER = {
+    "ceiling": {2: 4892, 3: 4875, 4: 4859},
+    "flags": {
+        "coherence-bound": {2: 4892, 3: 4875, 4: 4859},
+        "block-trace": {2: 0, 3: 0, 4: 0},
+        "block-spectrum": {2: 4709, 3: 4972, 4: 4991},
+    },
+    "ensemble": 4761,
+}
+
+
+def test_known_red_ledger_of_criterion_07(separable_corpora):
+    """Criterion 7 fails by design; its counts must still not drift, and block-trace stays at zero."""
+    separable, ensembles = separable_corpora
+    ceiling = {d: int(np.count_nonzero(gaps > 1e-10)) for d, (gaps, _) in separable.items()}
+    flags = {
+        name: {d: int(np.count_nonzero(verdicts[name] == Verdict.ENTANGLED))
+               for d, (_, verdicts) in separable.items()}
+        for name in CRITERION_07_LEDGER["flags"]
+    }
+    assert ceiling == CRITERION_07_LEDGER["ceiling"]
+    assert flags == CRITERION_07_LEDGER["flags"]
+    assert sum(r.verdict is Verdict.ENTANGLED for r in ensembles) == CRITERION_07_LEDGER["ensemble"]
 
 
 # Smallest distance a counted verdict may keep from its threshold.

@@ -29,10 +29,10 @@ from cohdet.criteria import (
     separable_bound,
 )
 from cohdet.coherence import l1_coherence
-from cohdet.errors import NegativeRadicandError, QubitNotFirstError, ShapeError
+from cohdet.errors import NegativeRadicandError, NotHermitianError, QubitNotFirstError, ShapeError
 from cohdet.families import build_family
 from cohdet.linalg import tensor_product
-from cohdet.states import block_decompose, random_density, random_separable, validate
+from cohdet.states import DensityMatrix, block_decompose, random_density, random_separable, validate
 
 
 def bell_state(sign=1.0):
@@ -290,7 +290,7 @@ def applicable(state):
 class TestSharedAnalysis:
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"block_decompose": 0, "lambda_min": 0}
+        counts = {"block_decompose": 0, "lambda_min": 0, "checked_hermitian_part": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -301,17 +301,31 @@ class TestSharedAnalysis:
         monkeypatch.setattr(criteria, "block_decompose",
                             counted("block_decompose", criteria.block_decompose))
         monkeypatch.setattr(linalg, "lambda_min", counted("lambda_min", linalg.lambda_min))
+        monkeypatch.setattr(linalg, "checked_hermitian_part",
+                            counted("checked_hermitian_part", linalg.checked_hermitian_part))
         return counts
 
     def test_one_decomposition_and_two_diagonalizations_per_state(self, counts):
         state = random_density((2, 3), seed=8)
         for check in applicable(state):
             check(state)
-        assert counts == {"block_decompose": 1, "lambda_min": 2}
+        assert counts == {"block_decompose": 1, "lambda_min": 2, "checked_hermitian_part": 1}
 
     def test_block_trace_alone_diagonalizes_nothing(self, counts):
         block_trace_check(random_density((2, 3), seed=8))
-        assert counts == {"block_decompose": 1, "lambda_min": 0}
+        assert counts == {"block_decompose": 1, "lambda_min": 0, "checked_hermitian_part": 0}
+
+    def test_a_non_hermitian_coupling_block_is_refused_by_both_spectra(self):
+        # P and R are Hermitian; Q is not mirrored below the diagonal. The Hermiticity
+        # check covers the whole state, so both checks that diagonalize refuse it.
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 2] = 0.3
+        state = DensityMatrix(m, (2, 2))
+        for check in (block_spectrum_check, coherence_bound_check):
+            with pytest.raises(NotHermitianError, match=r"entry is 3\.000e-01"):
+                check(state)
+        for check in (qubit_coherence_check, qudit_coherence_check, block_trace_check):
+            assert check(state).verdict in set(Verdict)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4)])
     def test_checks_do_not_use_the_2x2_rotation(self, monkeypatch, dims):
@@ -394,10 +408,13 @@ class TestStackedChecks:
     def test_a_stack_is_analyzed_once(self, monkeypatch):
         stack, _ = ginibre_stack((2, 3), 84000, count=10)
         calls = []
-        monkeypatch.setattr(linalg, "lambda_min", lambda m, f=linalg.lambda_min: calls.append(m.shape) or f(m))
+        for name in ("lambda_min", "checked_hermitian_part"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda m, f=real, name=name: calls.append((name, m.shape)) or f(m))
         for check in applicable(stack):
             check(stack)
-        assert calls == [(10, 3, 3), (10, 3, 3)]
+        checked, solved = ("checked_hermitian_part", (10, 6, 6)), ("lambda_min", (10, 3, 3))
+        assert calls == [checked, solved, solved]
 
     def test_radicand_failure_names_the_first_failing_state(self):
         indefinite = np.diag([0.6, -0.1, 0.0, 0.5]).astype(complex)

@@ -70,6 +70,10 @@ def test_a_process_loads_only_what_its_subcommand_runs(tmp_path):
     commands = [
         ("analyze", ["analyze", "--state", "fixtures/bell_pair.json"]),
         ("random", ["random", "--kind", "generic", "--dims", "2x2", "--out", str(tmp_path / "r.json")]),
+        ("xstate24", ["scan", "--family", "xstate24", "--param", "a", "--range", "0:1:0.5",
+                      "--criteria", "all", "--out", str(tmp_path / "x.csv")]),
+        ("puremix", ["scan", "--family", "puremix", "--param", "p", "--range", "0:1:0.5",
+                     "--criteria", "ensemble-bound", "--out", str(tmp_path / "p.csv")]),
         ("ensemble", ["ensemble", "--file", "fixtures/puremix_p05.json", "--all-bipartitions"]),
     ]
     env = dict(os.environ)
@@ -79,4 +83,7 @@ def test_a_process_loads_only_what_its_subcommand_runs(tmp_path):
         cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {"analyze": [], "random": [], "ensemble": ["cohdet.tripartite"]}
+    both = ["cohdet.families", "cohdet.tripartite"]
+    assert loaded == {
+        "analyze": [], "random": [], "xstate24": ["cohdet.families"], "puremix": both, "ensemble": both,
+    }

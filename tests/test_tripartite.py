@@ -27,7 +27,13 @@ from cohdet.errors import (
     ShapeError,
 )
 from cohdet.families import build_family
-from cohdet.linalg import frobenius_norm_sq, lambda_min, lambda_min_2x2, tensor_product
+from cohdet.linalg import (
+    checked_hermitian_part,
+    frobenius_norm_sq,
+    lambda_min,
+    lambda_min_2x2,
+    tensor_product,
+)
 from cohdet.states import (
     DensityMatrix,
     block_decompose,
@@ -289,7 +295,7 @@ def per_term_ceiling(ens, label):
         d = pair.dim // 2
         diag_sq = float((np.abs(pair.matrix.diagonal()) ** 2).sum())
         p_norm_sq, r_norm_sq = frobenius_norm_sq(blocks.p), frobenius_norm_sq(blocks.r)
-        lam_p, lam_r = pair_route(d)(blocks.p), pair_route(d)(blocks.r)
+        lam_p, lam_r = (pair_route(d)(checked_hermitian_part(b)) for b in (blocks.p, blocks.r))
         prefactor = math.sqrt(2.0 * d * (d - 1))
         ceiling = prefactor * (
             clamped_sqrt(p_norm_sq + r_norm_sq - diag_sq)
@@ -351,21 +357,24 @@ class TestSharedSurvey:
         assert list(skipped) == (["B"] if ens.dims == (3, 2, 3) else [])
         assert [r.singled_out for r in survey.reports] == [x for x in "ABC" if x not in skipped]
 
-    def test_one_coercion_per_survey(self, monkeypatch):
-        # the reduced factors and pairs are read as they come from the kernel;
-        # only the eigen route's input check still coerces, and it reads in place
-        calls = []
-        real = linalg.as_matrices
-
-        def counting(candidate):
-            coerced = real(candidate)
-            calls.append(coerced is candidate)
-            return coerced
-
-        ens = build_family("puremix", p=0.5)
-        monkeypatch.setattr(linalg, "as_matrices", counting)
+    def test_no_coercion_per_survey(self, monkeypatch):
+        # the term stack, the reduced factors and the pairs are read as they are made
+        ens, calls = build_family("puremix", p=0.5), []
+        monkeypatch.setattr(linalg, "as_matrices", lambda m, f=linalg.as_matrices: calls.append(m) or f(m))
         all_bipartitions_check(ens)
-        assert calls == [True]
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(SURVEYED))
+    def test_one_hermiticity_check_per_pair_order(self, monkeypatch, name):
+        ens = SURVEYED[name]()
+        shapes = []
+        real = linalg.checked_hermitian_part
+        monkeypatch.setattr(linalg, "checked_hermitian_part", lambda m: shapes.append(m.shape) or real(m))
+        survey = all_bipartitions_check(ens)
+        # one call on each group's whole pair stack: the labels whose pairs share an order
+        sizes = [reference_pair(ens.terms[0][1], r.singled_out).dim for r in survey.reports]
+        n = len(ens.terms)
+        assert sorted(shapes) == sorted((n * sizes.count(k), k, k) for k in set(sizes))
 
     def test_caller_ensemble_is_unchanged(self):
         ens = random_product_ensemble((2, 2, 2), 2, seed=5)
@@ -413,7 +422,7 @@ class TestPairBlockEigenRoute:
             pair = reference_pair(state, label)
             solve, blocks = pair_route(pair.dim // 2), block_decompose(pair)
             assert exact((term.lambda_min_p, term.lambda_min_r)) == exact(
-                (solve(blocks.p), solve(blocks.r))
+                (solve(checked_hermitian_part(blocks.p)), solve(checked_hermitian_part(blocks.r)))
             )
 
     @staticmethod
